@@ -12,11 +12,12 @@ pass/fail line per criterion.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -24,8 +25,9 @@ import numpy as np
 from .circle import UnitRational, tm_interval
 from .duality import (CyclicSet, GridSet, QuotientBy, check_two_x_equivalence,
                       char_polar_intervals, hull_contains, hull_grid,
-                      hull_residues, pushforward_check)
-from .engine import BitGrid
+                      hull_masks, hull_residues, image_masks, in_t_plus,
+                      pushforward_check)
+from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, points_K2, points_K3, points_R2,
                        verdict_R2, verdict_T2)
@@ -55,19 +57,13 @@ def _ok(ident, description, detail, t0) -> CriterionResult:
     return CriterionResult(ident, description, True, detail, time.time() - t0)
 
 
-def _cond_matrix(n: int) -> np.ndarray:
-    ar = np.arange(n, dtype=np.int64)
-    r = (ar[:, None] * ar[None, :]) % n
-    return 4 * np.minimum(r, n - r) <= n
-
-
 def criterion_01() -> CriterionResult:
     ident, desc = "criterion-01", "membership lemmas (4h, 5h, h1+-h2) exhaustive on Z(n), n <= 100"
     t0 = time.time()
     pairs = 0
     for n in range(1, 101):
         ar = np.arange(n, dtype=np.int64)
-        C = _cond_matrix(n)
+        C = in_t_plus(np.outer(ar, ar) % n, n)
         idx = {m: (m * ar) % n for m in (2, 3, 4, 5, 6, 8)}
         polar_b = C & C[:, idx[3]] & C[:, idx[6]]
         if np.any(polar_b & ~C[:, idx[4]]):
@@ -227,7 +223,8 @@ def criterion_08() -> CriterionResult:
 
 
 def _grid_residue(x: UnitRational, modulus: int) -> int:
-    assert modulus % x.den == 0
+    if modulus % x.den:
+        raise InvalidInputError(f"{x} is not on the grid of modulus {modulus}")
     return (x.num * (modulus // x.den)) % modulus
 
 
@@ -331,30 +328,42 @@ def criterion_10() -> CriterionResult:
     return _ok(ident, desc, f"named chains plus {cases} patterned chains, T and R", t0)
 
 
+def _symmetric_masks(n: int, gens, sizes) -> np.ndarray:
+    """uint64 masks of {+-g : g in gs} for every gs in combinations(gens, r),
+    r in sizes, in itertools order."""
+    pair = np.array([(1 << g) | (1 << ((n - g) % n)) for g in gens], dtype=np.uint64)
+    chunks = []
+    for r in sizes:
+        combos = list(combinations(range(len(gens)), r))
+        idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+        chunks.append(np.bitwise_or.reduce(pair[idx], axis=1))
+    return np.concatenate(chunks)
+
+
+def _nth_combination(gens, sizes, i: int) -> tuple[int, ...]:
+    return next(islice(chain.from_iterable(combinations(gens, r) for r in sizes), i, None))
+
+
 def criterion_11() -> CriterionResult:
     ident, desc = "criterion-11", "pushforward containment f(Q(E)) in Q(f(E)) for multiplications and quotients"
     t0 = time.time()
     checked = 0
     # multiply-by-k on every grid N <= 64, over all symmetric sets with
     # up to 3 generator pairs; Q(E) = Q(E u -E u {0}) makes this cover
-    # every E of size <= 3
+    # every E of size <= 3.  One row per set, one column per k.
+    sizes = (1, 2, 3)
     for n in range(1, 65):
-        grid = BitGrid(n)
         gens = list(range(1, n // 2 + 1)) or [0]
-        gsets: list[tuple[int, ...]] = []
-        for r in (1, 2, 3):
-            gsets.extend(combinations(gens, r))
-        for gs in gsets:
-            ebits = 0
-            for g in gs:
-                ebits |= (1 << g) | (1 << ((n - g) % n))
-            hull_e = grid.hull_bits(ebits)
-            for k in range(n):
-                img = grid.map_bits(ebits, k)
-                mapped = grid.map_bits(hull_e, k)
-                if mapped & ~grid.hull_bits(img):
-                    return _fail(ident, desc, f"multiplication failed: n={n}, E={gs}, k={k}", t0)
-                checked += 1
+        sets = _symmetric_masks(n, gens, sizes)
+        hull_e = hull_masks(n, sets)
+        img = np.stack([image_masks(n, sets, k) for k in range(n)], axis=1)
+        mapped = np.stack([image_masks(n, hull_e, k) for k in range(n)], axis=1)
+        failed = np.argwhere(mapped & ~hull_masks(n, img))
+        if failed.size:
+            s, k = failed[0]
+            gs = _nth_combination(gens, sizes, s)
+            return _fail(ident, desc, f"multiplication failed: n={n}, E={gs}, k={k}", t0)
+        checked += img.size
     # quotient Z(27) -> Z(9): genuinely all E of size <= 3
     for r in (1, 2, 3):
         for E in combinations(range(27), r):
@@ -372,57 +381,55 @@ def criterion_11() -> CriterionResult:
     return _ok(ident, desc, f"{checked} (E, f) pairs", t0)
 
 
+def _division_sets(n: int, gens) -> np.ndarray:
+    """Every Y = {+-gs} and Y u {0}, gs any subset of gens, minus the empty Y.
+
+    Order: subsets by size then itertools order, without 0 before with 0;
+    entry s is built from subset number (s + 1) // 2.
+    """
+    bases = _symmetric_masks(n, gens, range(len(gens) + 1))
+    return np.stack([bases, bases | np.uint64(1)], axis=1).ravel()[1:]
+
+
+def _is_quasi_convex(n: int, masks: np.ndarray) -> np.ndarray:
+    return hull_masks(n, masks) == masks
+
+
 def criterion_12() -> CriterionResult:
     ident, desc = "criterion-12", "division lemma, grid form: both clauses exhaustive for N <= 64"
     t0 = time.time()
     checked = 0
     for n in range(4, 65):
-        grid = BitGrid(n)
         # clause (a): Y inside T_m, kY quasi-convex, 0 < k <= 2m  =>  Y quasi-convex
         m = 1
         while n // (4 * m) >= 1:
             gens = list(range(1, n // (4 * m) + 1))
-            for r in range(len(gens) + 1):
-                for gs in combinations(gens, r):
-                    base = 0
-                    for g in gs:
-                        base |= (1 << g) | (1 << (n - g))
-                    for with_zero in (0, 1):
-                        ybits = base | with_zero
-                        if not ybits:
-                            continue
-                        for k in range(1, 2 * m + 1):
-                            kbits = grid.map_bits(ybits, k)
-                            if grid.is_quasi_convex(kbits):
-                                checked += 1
-                                if not grid.is_quasi_convex(ybits):
-                                    return _fail(
-                                        ident, desc,
-                                        f"(a) fails: n={n}, m={m}, k={k}, gens={gs}", t0)
+            ys = _division_sets(n, gens)
+            ks = range(1, 2 * m + 1)
+            premise = _is_quasi_convex(
+                n, np.stack([image_masks(n, ys, k) for k in ks], axis=1))
+            checked += int(premise.sum())
+            failed = np.argwhere(premise & ~_is_quasi_convex(n, ys)[:, None])
+            if failed.size:
+                s, i = failed[0]
+                gs = _nth_combination(gens, range(len(gens) + 1), (s + 1) // 2)
+                return _fail(ident, desc,
+                             f"(a) fails: n={n}, m={m}, k={ks[i]}, gens={gs}", t0)
             m += 1
         # clause (b): Y inside T_4m, 4mY quasi-convex  =>  {+-1/(4m)} u Y quasi-convex
         for m in range(1, n // 4 + 1):
             if n % (4 * m):
                 continue
             quarter = n // (4 * m)
-            gens = [j for j in range(1, n // (16 * m) + 1)]
-            for r in range(len(gens) + 1):
-                for gs in combinations(gens, r):
-                    base = 0
-                    for g in gs:
-                        base |= (1 << g) | (1 << (n - g))
-                    for with_zero in (0, 1):
-                        ybits = base | with_zero
-                        if not ybits:
-                            continue
-                        kbits = grid.map_bits(ybits, 4 * m)
-                        if grid.is_quasi_convex(kbits):
-                            checked += 1
-                            yprime = ybits | (1 << quarter) | (1 << (n - quarter))
-                            if not grid.is_quasi_convex(yprime):
-                                return _fail(
-                                    ident, desc,
-                                    f"(b) fails: n={n}, m={m}, gens={gs}", t0)
+            gens = list(range(1, n // (16 * m) + 1))
+            ys = _division_sets(n, gens)
+            premise = _is_quasi_convex(n, image_masks(n, ys, 4 * m))
+            checked += int(premise.sum())
+            yprime = ys | np.uint64((1 << quarter) | (1 << (n - quarter)))
+            failed = np.flatnonzero(premise & ~_is_quasi_convex(n, yprime))
+            if failed.size:
+                gs = _nth_combination(gens, range(len(gens) + 1), (failed[0] + 1) // 2)
+                return _fail(ident, desc, f"(b) fails: n={n}, m={m}, gens={gs}", t0)
     return _ok(ident, desc, f"{checked} quasi-convex premises discharged", t0)
 
 
@@ -452,9 +459,10 @@ def run_all(idents: Optional[Iterable[str]] = None, jobs: int = 1,
     wanted = list(idents) if idents is not None else list(CRITERIA)
     for ident in wanted:
         if ident not in CRITERIA:
-            raise KeyError(f"unknown criterion {ident!r}")
+            raise InvalidInputError(f"unknown criterion {ident!r}")
     stream = stream if stream is not None else sys.stderr
     results: dict[str, CriterionResult] = {}
+    jobs = min(jobs, len(wanted), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

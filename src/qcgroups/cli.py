@@ -26,10 +26,9 @@ from .families import (DivisibleChain, GapSequence, necessary_report_R,
 from .padic import (PadicTruncGroup, compute_Jm, epsilon_forms, level_for,
                     q12_set)
 from .realline import RealFiniteSet, hull_R, member_hull_R, polar_R
-from .witnesses import (certificate_from_json, exclusion_J3, exclusion_T3,
-                        verify_certificate)
+from .witnesses import (SCHEMA, certificate_from_json, exclusion_J3,
+                        exclusion_T3, verify_certificate)
 
-SCHEMA = "qcgroups/1"
 DEFAULT_MAX_GRID = 2 ** 20
 DEFAULT_MAX_CYCLIC = 3 ** 13
 

@@ -10,8 +10,10 @@ computations.  The same arithmetic serves Z(n) with the pairing
 chi_k(x) = kx/n.
 
 The hot loops run on int64 numpy vectors; moduli are capped well below
-the overflow bound so every product is exact (a pure-python path covers
-anything larger).
+the overflow bound so every product is exact, and larger moduli are
+rejected.  Every test of "k*j/n lies in T_+" goes through in_t_plus.
+For n <= 64 a subset of Z(n) fits in one uint64, and hull_masks /
+image_masks take the hulls and images of whole arrays of subsets at once.
 """
 
 from __future__ import annotations
@@ -30,28 +32,32 @@ from .errors import InvalidInputError
 _NUMPY_SAFE_MODULUS = 3_000_000_000
 
 
-def _cond_ok(value: int, n: int) -> bool:
-    """k*j proxy: residue r of the product; true iff r/n lies in T_+."""
-    r = value % n
-    return 4 * min(r, n - r) <= n
+def in_t_plus(r, n):
+    """r/n lies in T_+ = [-1/4, 1/4], for r already reduced mod n.
+
+    Works unchanged on Python ints and on int64 numpy arrays.
+    """
+    return (4 * r <= n) | (4 * (n - r) <= n)
+
+
+def _checked_modulus(n: int, limit: int = _NUMPY_SAFE_MODULUS) -> None:
+    if not 1 <= n <= limit:
+        raise InvalidInputError(f"modulus {n} must lie in 1..{limit}")
 
 
 def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:
     """{k mod n : k*e/n in T_+ for every e}. Raises on an empty input set."""
-    elems = sorted({e % n for e in elems})
-    if n < 1:
-        raise InvalidInputError("modulus must be positive")
+    _checked_modulus(n)
+    elems = sorted({min(e % n, -e % n) for e in elems})    # e and -e: same row
     if not elems:
         raise InvalidInputError("polar of the empty set is not defined here")
-    if n <= _NUMPY_SAFE_MODULUS:
-        k = np.arange(n, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        for e in elems:
-            r = (k * e) % n
-            np.logical_and(mask, 4 * np.minimum(r, n - r) <= n, out=mask)
-        return frozenset(int(v) for v in np.nonzero(mask)[0])
-    return frozenset(k for k in range(n)
-                     if all(_cond_ok(k * e, n) for e in elems))
+    k = np.arange(n, dtype=np.int64)
+    mask = np.ones(n, dtype=bool)
+    for e in elems:
+        r = k * e
+        r %= n
+        mask &= in_t_plus(r, n)
+    return frozenset(int(v) for v in np.nonzero(mask)[0])
 
 
 def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[int, int]]:
@@ -60,39 +66,74 @@ def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[in
     Witness selection is deterministic: the smallest character residue in
     the polar that moves the point outside T_+.
     """
-    elems = sorted({e % n for e in elems})
-    polar = sorted(polar_residues(n, elems))
-    if n <= _NUMPY_SAFE_MODULUS:
-        j = np.arange(n, dtype=np.int64)
-        alive = np.ones(n, dtype=bool)
-        witness: dict[int, int] = {}
-        for k in polar:
-            r = (j * k) % n
-            ok = 4 * np.minimum(r, n - r) <= n
-            newly = alive & ~ok
-            if newly.any():
-                for p in np.nonzero(newly)[0]:
-                    witness[int(p)] = k
-                alive &= ok
-        hull = frozenset(int(v) for v in np.nonzero(alive)[0])
-        return hull, witness
-    hull_set = set()
-    witness = {}
-    for p in range(n):
-        for k in polar:
-            if not _cond_ok(k * p, n):
-                witness[p] = k
-                break
-        else:
-            hull_set.add(p)
-    return frozenset(hull_set), witness
+    # -k gives the same row as k, and k <= n/2 comes first, so the witnesses
+    # stay the smallest excluding characters
+    polar = [k for k in sorted(polar_residues(n, elems)) if 2 * k <= n]
+    j = np.arange(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    witness: dict[int, int] = {}
+    for k in polar:
+        r = j * k
+        r %= n
+        ok = in_t_plus(r, n)
+        newly = alive & ~ok
+        if newly.any():
+            for p in np.nonzero(newly)[0]:
+                witness[int(p)] = k
+            alive &= ok
+    hull = frozenset(int(v) for v in np.nonzero(alive)[0])
+    return hull, witness
 
 
 def hull_contains(n: int, gens: Iterable[int], target: int) -> bool:
     """target in Q(gens) without materializing the full hull."""
-    target %= n
     polar = polar_residues(n, gens)
-    return all(_cond_ok(k * target, n) for k in polar)
+    target %= n
+    return all(in_t_plus(k * target % n, n) for k in polar)
+
+
+# ------------------------------------------------- batched masks, n <= 64
+
+_ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _bytewise(op, identity, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """op over rows[j] for the set bits j of every mask, one table gather per byte."""
+    out = None
+    for b in range(0, len(rows), 8):
+        table = np.empty(256, dtype=np.uint64)
+        table[0] = identity
+        for i in range(8):
+            row = rows[b + i] if b + i < len(rows) else identity
+            op(table[:1 << i], row, out=table[1 << i:2 << i])
+        part = table[(masks >> np.uint64(b)) & np.uint64(0xFF)]
+        out = part if out is None else op(out, part, out=out)
+    return out
+
+
+def _polar_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    ar = np.arange(n, dtype=np.int64)
+    ok = in_t_plus(np.outer(ar, ar) % n, n)
+    rows = np.bitwise_or.reduce(ok.astype(np.uint64) << ar.astype(np.uint64), axis=1)
+    return _bytewise(np.bitwise_and, _ALL_BITS, rows, masks)
+
+
+def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """Hull of every subset of Z(n) in a uint64 array (bit j = residue j), n <= 64.
+
+    The pairing k*j/n is symmetric, so the hull is the polar of the polar.
+    The empty mask has every character in its polar and {0} as its hull.
+    """
+    _checked_modulus(n, 64)
+    return _polar_masks(n, _polar_masks(n, masks))
+
+
+def image_masks(n: int, masks: np.ndarray, k: int) -> np.ndarray:
+    """The image k*E of every subset E of Z(n) in a uint64 array, n <= 64."""
+    _checked_modulus(n, 64)
+    ar = np.arange(n, dtype=np.int64)
+    rows = np.uint64(1) << (ar * (k % n) % n).astype(np.uint64)
+    return _bytewise(np.bitwise_or, np.uint64(0), rows, masks)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .circle import UnitRational, in_Tm
-from .duality import CyclicSet
+from .duality import CyclicSet, in_t_plus, polar_residues
 from .errors import InvalidInputError
 from .families import GapSequence
 
@@ -142,7 +142,8 @@ def balanced_digits(x: int, level: int, p: int = 3) -> BalancedDigits:
         r = (v + 1) % 3 - 1
         out.append(r)
         v = (v - r) // 3
-    assert v == 0, "signed residue must be exhausted by `level` digits"
+    if v:
+        raise RuntimeError("signed residue not exhausted by `level` digits; implementation bug")
     return BalancedDigits(tuple(out))
 
 
@@ -187,32 +188,30 @@ def compute_Jm(a: GapSequence, m: int, k_max: int, side: Side,
     side "T" pairs m*eta_k against the points 3^-(a_n+1); side "J" pairs
     m*zeta_k against 3^(a_n) inside Z(3^level).  For m in {1, 2} the
     result is the complement of the entries of `a` in [0, k_max].
+    Residues stay Python ints: 3^k outgrows int64 for large k_max.
     """
     if m not in (1, 2):
         raise InvalidInputError("J_m is computed for m in {1, 2} only")
     if k_max < 0:
         raise InvalidInputError("k_max must be nonnegative")
     a.require_nonnegative()
-    out = set()
     if side == "T":
-        points = [UnitRational(1, 3 ** (an + 1)) for an in a.entries]
-        for k in range(k_max + 1):
-            if all(in_Tm(eta_eval(m, k, x), 1) for x in points):
-                out.add(k)
-    elif side == "J":
+        # m*eta_k(3^-(a_n+1)) = m*3^k / 3^(a_n+1)
+        dens = [3 ** (an + 1) for an in a.entries]
+        return frozenset(k for k in range(k_max + 1)
+                         if all(in_t_plus(m * 3 ** k % d, d) for d in dens))
+    if side == "J":
         needed = max(a.entries[-1] + 1, k_max + 1)
         if level is None:
             level = max(level_for(a), k_max + 1)
         if level < needed:
             raise InvalidInputError(
                 f"truncation level {level} too short; need level >= {needed}")
-        ys = [3 ** an for an in a.entries]
-        for k in range(k_max + 1):
-            if all(in_Tm(zeta_eval(m, k, y, level), 1) for y in ys):
-                out.add(k)
-    else:
-        raise InvalidInputError(f"unknown side {side!r}")
-    return frozenset(out)
+        # m*zeta_k(3^(a_n)) = m*3^(a_n) / 3^(k+1)
+        return frozenset(k for k in range(k_max + 1)
+                         if all(in_t_plus(m * 3 ** an % 3 ** (k + 1), 3 ** (k + 1))
+                                for an in a.entries))
+    raise InvalidInputError(f"unknown side {side!r}")
 
 
 def epsilon_forms(a: GapSequence, side: Side, exponent: int) -> frozenset:
@@ -221,7 +220,7 @@ def epsilon_forms(a: GapSequence, side: Side, exponent: int) -> frozenset:
     side "T": points 3^-(a_n+1) on the grid 3^exponent, returned as
     UnitRationals; side "J": points 3^(a_n) in Z(3^exponent), returned as
     canonical signed residues.  Distinct coefficient vectors never
-    collide (balanced-digit uniqueness); this is asserted.
+    collide (balanced-digit uniqueness); this is checked.
     """
     a.require_nonnegative()
     entries = a.entries
@@ -244,7 +243,8 @@ def epsilon_forms(a: GapSequence, side: Side, exponent: int) -> frozenset:
             acc = {group.canonical(s + e * y) for s in acc for e in (-1, 0, 1)}
     else:
         raise InvalidInputError(f"unknown side {side!r}")
-    assert len(acc) == 3 ** len(entries), "epsilon forms must not collide"
+    if len(acc) != 3 ** len(entries):
+        raise RuntimeError("epsilon forms collided; implementation bug")
     return frozenset(acc)
 
 
@@ -254,33 +254,28 @@ def q12_set(a: GapSequence, side: Side, exponent: int) -> frozenset:
     The test set of indices is {0, ..., exponent-1} minus the entries of
     `a` (characters beyond the carrier resolution act trivially).
     Element types match epsilon_forms for direct comparison.
+
+    With n = 3^exponent, m*eta_k(j/n) = m*3^k*j/n and
+    m*zeta_k(x) = m*3^(exponent-k-1)*x/n, so either side is the polar in
+    Z(n) of those characters (0 acts trivially and keeps the set nonempty).
     """
     a.require_nonnegative()
     entries = set(a.entries)
     ks = [k for k in range(exponent) if k not in entries]
+    n = 3 ** exponent
     if side == "T":
         if a.entries[-1] + 1 > exponent:
             raise InvalidInputError(
                 f"grid 3^{exponent} too small; need exponent >= {a.entries[-1] + 1}")
-        n = 3 ** exponent
-        out = set()
-        for j in range(n):
-            x = UnitRational(j, n)
-            if all(in_Tm(eta_eval(1, k, x), 1) and in_Tm(eta_eval(2, k, x), 1)
-                   for k in ks):
-                out.add(x)
-        return frozenset(out)
+        chars = [m * 3 ** k for k in ks for m in (1, 2)]
+        return frozenset(UnitRational(j, n) for j in polar_residues(n, [0] + chars))
     if side == "J":
         if a.entries[-1] > exponent - 1:
             raise InvalidInputError(
                 f"carrier Z(3^{exponent}) too small; need exponent >= {a.entries[-1] + 1}")
         group = PadicTruncGroup(exponent)
-        out = set()
-        for x in group.elements():
-            if all(in_Tm(zeta_eval(1, k, x, exponent), 1)
-                   and in_Tm(zeta_eval(2, k, x, exponent), 1) for k in ks):
-                out.add(group.canonical(x))
-        return frozenset(out)
+        chars = [m * 3 ** (exponent - k - 1) for k in ks for m in (1, 2)]
+        return frozenset(group.canonical(x) for x in polar_residues(n, [0] + chars))
     raise InvalidInputError(f"unknown side {side!r}")
 
 

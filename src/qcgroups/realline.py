@@ -111,7 +111,8 @@ def polar_R(S: RealFiniteSet) -> PeriodicPolar:
     acc = RationalIntervalUnion.from_pairs([(Fraction(0), D)])
     for x in nonzero:
         c = x * D
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise RuntimeError("period does not clear a denominator; implementation bug")
         c = c.numerator
         pieces = []
         for j in range(0, c + 1):
@@ -179,9 +180,11 @@ def member_hull_R(S: RealFiniteSet, z: Fraction | int) -> HullMembership:
             w_img = _bad_point_in(A, B)
             y = (w_img - s) / z + k_j * D
             # re-verify before reporting
-            assert polar.contains(y), "witness fell outside the polar"
+            if not polar.contains(y):
+                raise RuntimeError("witness fell outside the polar; implementation bug")
             prod = y * z
-            assert not _interval_in_Tplus_mod1(prod, prod), "witness does not exclude"
+            if _interval_in_Tplus_mod1(prod, prod):
+                raise RuntimeError("witness does not exclude; implementation bug")
             return HullMembership(False, y)
     return HullMembership(True)
 
@@ -215,5 +218,6 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
         if member_hull_R(S, z).inside:
             out.add(z)
     missing = S.points - out
-    assert not missing, f"hull lost input points: {missing}"
+    if missing:
+        raise RuntimeError(f"hull lost input points {sorted(missing)}; implementation bug")
     return frozenset(out)

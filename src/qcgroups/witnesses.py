@@ -26,6 +26,7 @@ from .families import GapSequence
 from .padic import PruferChar, canonical_residue, level_for, zeta_eval
 
 QUARTER = Fraction(1, 4)
+SCHEMA = "qcgroups/1"
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class ExclusionCertificate:
         target = (str(self.target) if isinstance(self.target, UnitRational)
                   else self.target)
         return {
-            "schema": "qcgroups/1",
+            "schema": SCHEMA,
             "space": self.space,
             "family": {"kind": self.family_kind, "entries": list(self.family.entries)},
             "character": char,
@@ -74,20 +75,30 @@ class ExclusionCertificate:
         }
 
 
+_SPACES = {"T3": "grid", "J3": "padic-trunc"}
+
+
 def certificate_from_json(data: dict) -> ExclusionCertificate:
     try:
+        if data["schema"] != SCHEMA:
+            raise InvalidInputError(f"unknown certificate schema {data['schema']!r}")
         kind = data["family"]["kind"]
+        if kind not in _SPACES:
+            raise InvalidInputError(f"unknown certificate family {kind!r}")
+        if data["space"] != _SPACES[kind]:
+            raise InvalidInputError(
+                f"{kind} certificates live in space {_SPACES[kind]!r}, not {data['space']!r}")
+        if len(data["indices"]) != 2:
+            raise InvalidInputError("certificate indices must be a pair [k, l]")
         fam = GapSequence(tuple(int(e) for e in data["family"]["entries"]))
         if kind == "T3":
             character: Union[int, PruferChar] = int(data["character"])
             target: Union[UnitRational, int] = UnitRational.from_fraction(
                 parse_rational(data["target"]))
-        elif kind == "J3":
+        else:
             character = PruferChar(int(data["character"]["multiplier"]),
                                    int(data["character"]["index"]))
             target = int(data["target"])
-        else:
-            raise InvalidInputError(f"unknown certificate family {kind!r}")
         tb = TailBound(int(data["tail_bound"]["start"]),
                        parse_rational(data["tail_bound"]["bound"]))
         return ExclusionCertificate(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qcgroups.cli import main
 
 
@@ -141,3 +143,45 @@ def test_verify_paper_single_criterion_text(capsys):
     assert code == 0
     assert out.startswith("PASS criterion-03")
     assert "criterion-03" in err   # progress stream
+
+
+def test_unknown_criterion_exits_2(capsys):
+    code, out, err = run(capsys, "verify-paper", "--criteria", "bogus")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: unknown criterion 'bogus'"
+
+
+@pytest.mark.parametrize("family, seq, epsilon", [("T3", "1,3", "1,1"),
+                                                  ("J3", "0,2,4", "1,0,-1")])
+def test_mutated_certificates_exit_2(tmp_path, capsys, family, seq, epsilon):
+    code, text, _ = run(capsys, "certify", "--family", family, "--seq", seq,
+                        "--epsilon", epsilon)
+    assert code == 0
+    good = json.loads(text)
+    other_space = {"T3": "padic-trunc", "J3": "grid"}[family]
+    mutations = [
+        ("indices", [0]),
+        ("indices", []),
+        ("indices", 3),
+        ("schema", "bogus/9"),
+        ("space", "nowhere"),
+        ("space", other_space),
+        ("space", "real-line"),
+    ]
+    path = tmp_path / "cert.json"
+    for key, value in mutations + [("schema", None), ("space", None)]:
+        data = dict(good)
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-cert", "--cert", str(path))
+        assert code == 2, (key, value)
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    path.write_text(json.dumps(good))
+    assert run(capsys, "verify-cert", "--cert", str(path))[0] == 0
+    path.write_text(json.dumps({**good, "schema": "bogus/9", "space": "nowhere"}))
+    assert run(capsys, "verify-cert", "--cert", str(path))[0] == 2

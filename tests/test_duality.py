@@ -1,18 +1,19 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcgroups.circle import UnitRational, in_Tm, tm_interval
 from qcgroups.duality import (CyclicSet, GridSet, MultiplyBy, QuotientBy,
                               char_polar_intervals, check_two_x_equivalence,
-                              hull_cyclic, hull_grid, hull_residues,
-                              is_quasi_convex, polar_cyclic, polar_grid,
-                              polar_residues, pushforward_check,
+                              hull_contains, hull_cyclic, hull_grid,
+                              hull_masks, hull_residues, image_masks,
+                              in_t_plus, is_quasi_convex, polar_cyclic,
+                              polar_grid, polar_residues, pushforward_check,
                               trace_subgroup, unit_fraction_chain_check)
-from qcgroups.engine import BitGrid
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -103,15 +104,55 @@ def test_hull_closure_properties(n, data):
     assert hull <= bigger                           # monotone
 
 
-@given(st.integers(min_value=1, max_value=36), st.data())
-@settings(max_examples=80, deadline=None)
-def test_bit_engine_matches_reference(n, data):
-    elems = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
-    bg = BitGrid(n)
-    bits = bg.set_bits(elems)
-    assert set(bg.hull_set(elems)) == set(hull_residues(n, elems)[0])
-    polar_ref = polar_residues(n, elems)
-    assert {k for k in range(n) if (bg.polar_bits(bits) >> k) & 1} == set(polar_ref)
+def _bits(mask, n):
+    return {j for j in range(n) if (int(mask) >> j) & 1}
+
+
+_MASKS = st.one_of(st.integers(min_value=0, max_value=2 ** 64 - 1),          # dense
+                   st.sets(st.integers(0, 63), max_size=4).map(               # sparse
+                       lambda bits: sum(1 << b for b in bits)))
+
+
+@given(st.integers(min_value=1, max_value=64),
+       st.lists(_MASKS, min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=200))
+@example(1, [1], 0)
+@example(2, [2, 3], 1)
+@example(63, [1 << 62, 2 ** 63 - 1, 0x5555_5555_5555_5555], 62)
+@example(64, [1 << 63, 2 ** 64 - 1, 0xAAAA_AAAA_AAAA_AAAA], 63)
+@settings(max_examples=150, deadline=None)
+def test_hull_masks_match_hull_residues(n, raw, k):
+    masks = [m & ((1 << n) - 1) or 1 for m in raw]
+    hulls = hull_masks(n, np.array(masks, dtype=np.uint64))
+    images = image_masks(n, np.array(masks, dtype=np.uint64), k)
+    for m, h, img in zip(masks, hulls, images):
+        elems = _bits(m, n)
+        assert _bits(h, n) == hull_residues(n, elems)[0]
+        assert _bits(img, n) == {k * j % n for j in elems}
+
+
+def test_in_t_plus_on_ints_and_arrays():
+    n = 12
+    expected = [r for r in range(n) if 4 * min(r, n - r) <= n]
+    assert [r for r in range(n) if in_t_plus(r, n)] == expected
+    assert list(np.flatnonzero(in_t_plus(np.arange(n, dtype=np.int64), n))) == expected
+    assert in_t_plus(3 ** 60 % (3 ** 61), 3 ** 61) is False    # beyond int64
+
+
+def test_kernel_rejects_bad_moduli():
+    for n in (0, -3):
+        with pytest.raises(InvalidInputError):
+            polar_residues(n, [1])
+        with pytest.raises(InvalidInputError):
+            hull_residues(n, [1])
+        with pytest.raises(InvalidInputError):
+            hull_contains(n, [1], 1)
+    with pytest.raises(InvalidInputError):
+        polar_residues(3 ** 21, [1])
+    with pytest.raises(InvalidInputError):
+        hull_masks(65, np.array([1], dtype=np.uint64))
+    with pytest.raises(InvalidInputError):
+        image_masks(0, np.array([1], dtype=np.uint64), 1)
 
 
 # ------------------------------------------------------------ functoriality

@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 from itertools import combinations
 
-from qcgroups.circle import UnitRational
-from qcgroups.duality import hull_cyclic, hull_grid
+from qcgroups.duality import hull
 from qcgroups.families import (GapSequence, points_K2, points_K3, points_L3,
                                verdict_J3, verdict_T2, verdict_T3)
 
@@ -31,17 +30,10 @@ def truncation_report(kind: str, a: GapSequence) -> list[str]:
     lines = []
     for t in range(1, len(a) + 1):
         prefix = a.prefix(t)
-        if kind == "J3":
-            E = points_L3(prefix, prefix.entries[-1] + 2)
-            rep = hull_cyclic(E)
-            extra = sorted(rep.hull.elements - E.elements)
-            label = f"Z(3^{prefix.entries[-1] + 2})"
-        else:
-            E = FAMILIES[kind][1](prefix)
-            rep = hull_grid(E)
-            extra = sorted(str(UnitRational(p, E.modulus))
-                           for p in rep.hull.points - E.points)
-            label = f"grid {E.modulus}"
+        E = FAMILIES[kind][1](prefix)
+        extra = sorted(E.render(hull(E).hull.residues - E.residues))
+        label = (f"Z(3^{prefix.entries[-1] + 2})" if kind == "J3"
+                 else f"grid {E.modulus}")
         status = "quasi-convex" if not extra else f"hull gains {extra[:4]}"
         lines.append(f"    terms {t} ({label}): {status}")
     return lines

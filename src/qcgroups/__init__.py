@@ -5,13 +5,11 @@ truncated 3-adic integers Z(3^M), and the real line.  Everything is
 integer/rational arithmetic; results are exact and deterministic.
 """
 
-from .circle import (RationalIntervalUnion, UnitRational, in_Tm,
-                     make_unit_rational, norm, tm_interval)
-from .duality import (CyclicSet, GridSet, HullReport, MultiplyBy, PolarSet,
-                      QuotientBy, char_polar_intervals, check_two_x_equivalence,
-                      hull_cyclic, hull_grid, is_quasi_convex, polar_cyclic,
-                      polar_grid, pushforward_check, trace_subgroup,
-                      unit_fraction_chain_check)
+from .circle import RationalIntervalUnion, UnitRational, tm_interval
+from .duality import (HullReport, MultiplyBy, QuotientBy, ResidueSet,
+                      char_polar_intervals, check_two_x_equivalence, hull,
+                      is_quasi_convex, polar, pushforward_check,
+                      trace_subgroup, unit_fraction_chain_check)
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, Verdict, WitnessRecipe,
                        chain_from_family, necessary_report_R, necessary_report_T,

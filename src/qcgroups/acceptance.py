@@ -23,10 +23,9 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .circle import UnitRational, tm_interval
-from .duality import (CyclicSet, GridSet, QuotientBy, check_two_x_equivalence,
-                      char_polar_intervals, hull_contains, hull_grid,
-                      hull_masks, hull_residues, image_masks, in_t_plus,
-                      pushforward_check)
+from .duality import (QuotientBy, ResidueSet, check_two_x_equivalence,
+                      char_polar_intervals, hull, hull_contains, hull_masks,
+                      hull_residues, image_masks, in_t_plus, pushforward_check)
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, points_K2, points_K3, points_R2,
@@ -115,9 +114,9 @@ def criterion_04() -> CriterionResult:
     t0 = time.time()
     a = GapSequence.of(1, 3, 5, 7)
     E = points_K3(a, 3 ** 9)
-    rep = hull_grid(E)
+    rep = hull(E)
     if not rep.is_quasi_convex():
-        extra = sorted(rep.hull.points - E.points)[:4]
+        extra = sorted(rep.hull.residues - E.residues)[:4]
         return _fail(ident, desc, f"hull gained {extra}", t0)
     n = E.modulus
     certs = 0
@@ -140,7 +139,7 @@ def criterion_04() -> CriterionResult:
         if expected_eval != cert.evaluation:
             return _fail(ident, desc, f"evaluation mismatch for eps={eps}", t0)
         target_res = (cert.target.num * (n // cert.target.den)) % n
-        if target_res in rep.hull.points:
+        if target_res in rep.hull.residues:
             return _fail(ident, desc, f"target {cert.target} not excluded", t0)
         certs += 1
     return _ok(ident, desc, f"hull == set on grid 3^9; {certs} certificates verified", t0)
@@ -150,15 +149,15 @@ def criterion_05() -> CriterionResult:
     ident, desc = "criterion-05", "base-3 negative cases: a_0=0 translate contamination; unit gap puts 2/27 in the hull"
     t0 = time.time()
     E = points_K3(GapSequence.of(0, 2))
-    rep = hull_grid(E)
+    rep = hull(E)
     translate = UnitRational(1, 3) + UnitRational(1, 27)
     res = (translate.num * (E.modulus // translate.den)) % E.modulus
-    if rep.is_quasi_convex() or res not in rep.hull.points or res in E.points:
+    if rep.is_quasi_convex() or res not in rep.hull.residues or res in E.residues:
         return _fail(ident, desc, "translate point 10/27 missing from hull", t0)
     E2 = points_K3(GapSequence.of(1, 2))
-    rep2 = hull_grid(E2)
+    rep2 = hull(E2)
     res2 = (UnitRational(2, 27).num * (27 // 27)) % 27
-    if res2 not in rep2.hull.points or res2 in E2.points:
+    if res2 not in rep2.hull.residues or res2 in E2.residues:
         return _fail(ident, desc, "2/27 missing from hull of {0,+-1/9,+-1/27}", t0)
     return _ok(ident, desc, "both contaminations exhibited on their grids", t0)
 
@@ -168,8 +167,8 @@ def criterion_06() -> CriterionResult:
     t0 = time.time()
     a = GapSequence.of(0, 2, 4)
     L = L3_truncate(a, 7)
-    rep = hull_residues(L.order, L.elements)
-    if frozenset(rep[0]) != L.elements:
+    rep = hull_residues(L.modulus, L.residues)
+    if frozenset(rep[0]) != L.residues:
         return _fail(ident, desc, "truncated family not quasi-convex in Z(3^7)", t0)
     certs = 0
     for eps in product((-1, 0, 1), repeat=3):
@@ -180,7 +179,7 @@ def criterion_06() -> CriterionResult:
             return _fail(ident, desc, f"certificate failed for eps={eps}", t0)
         raw = sum((-e if cert.negated else e) * 3 ** an
                   for e, an in zip(eps, a.entries))
-        if raw % L.order in rep[0]:
+        if raw % L.modulus in rep[0]:
             return _fail(ident, desc, f"target for eps={eps} not excluded", t0)
         certs += 1
     for m in range(2, 7):
@@ -238,7 +237,7 @@ def criterion_09() -> CriterionResult:
         v = verdict_T2(a)
         if v.is_quasi_convex:
             for tlen in range(1, len(a) + 1):
-                if not hull_grid(points_K2(a.prefix(tlen))).is_quasi_convex():
+                if not hull(points_K2(a.prefix(tlen))).is_quasi_convex():
                     return _fail(ident, desc,
                                  f"T2 verdict QC but truncation {a.entries[:tlen]} is not", t0)
         else:
@@ -253,12 +252,12 @@ def criterion_09() -> CriterionResult:
                     for i in range(recipe.terms_needed - len(a))))
             w = recipe.witness_point(work)
             E = points_K2(work.prefix(recipe.terms_needed))
-            rep = hull_grid(E)
+            rep = hull(E)
             res = _grid_residue(w, E.modulus)
             full = points_K2(work)
-            if (res not in rep.hull.points or res in E.points
-                    or _grid_residue(w, full.modulus) in full.points
-                    or (work is a and hull_grid(full).is_quasi_convex())):
+            if (res not in rep.hull.residues or res in E.residues
+                    or _grid_residue(w, full.modulus) in full.residues
+                    or (work is a and hull(full).is_quasi_convex())):
                 return _fail(ident, desc, f"T2 witness failed for a={a.entries}", t0)
         checked_t += 1
 
@@ -287,21 +286,21 @@ def criterion_10() -> CriterionResult:
     rep = necessary_report_T(DivisibleChain.from_text("2,8"))
     if rep.b0_ge_4 or rep.all_pass:
         return _fail(ident, desc, "(2,8) should fail b0 >= 4", t0)
-    X = GridSet.from_rationals([Fraction(0), Fraction(1, 2), Fraction(-1, 2),
-                                Fraction(1, 8), Fraction(-1, 8)])
-    h = hull_grid(X)
+    X = ResidueSet.from_rationals([Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                                   Fraction(1, 8), Fraction(-1, 8)])
+    h = hull(X)
     res = _grid_residue(UnitRational(5, 8), 8)
-    if res not in h.hull.points or res in X.points:
+    if res not in h.hull.residues or res in X.residues:
         return _fail(ident, desc, "translate contamination missing for (2,8)", t0)
 
     rep = necessary_report_T(DivisibleChain.from_text("9,27,81"))
     if rep.no_q3_without_4_divisor or rep.all_pass:
         return _fail(ident, desc, "(9,27,81) should fail the q!=3 rule", t0)
-    X = GridSet.from_rationals(
+    X = ResidueSet.from_rationals(
         [Fraction(0)] + [s * Fraction(1, b) for b in (9, 27, 81) for s in (1, -1)])
-    h = hull_grid(X)
+    h = hull(X)
     res = _grid_residue(UnitRational(2, 27), 81)
-    if res not in h.hull.points or res in X.points:
+    if res not in h.hull.residues or res in X.residues:
         return _fail(ident, desc, "2/27 missing from hull for (9,27,81)", t0)
 
     cases = 0
@@ -316,10 +315,10 @@ def criterion_10() -> CriterionResult:
             if necessary_report_R(chain).all_pass or necessary_report_T(chain).all_pass:
                 return _fail(ident, desc, f"chain {terms} should fail necessity", t0)
             pts = [Fraction(0)] + [s * Fraction(1, b) for b in terms for s in (1, -1)]
-            X = GridSet.from_rationals(pts)
-            h = hull_grid(X)
+            X = ResidueSet.from_rationals(pts)
+            h = hull(X)
             res = _grid_residue(UnitRational.from_fraction(wit), X.modulus)
-            if res not in h.hull.points or res in X.points:
+            if res not in h.hull.residues or res in X.residues:
                 return _fail(ident, desc, f"witness {wit} missing from T-hull of {terms}", t0)
             S = RealFiniteSet.from_iterable(pts)
             if not member_hull_R(S, wit).inside or wit in S.points:
@@ -367,7 +366,7 @@ def criterion_11() -> CriterionResult:
     # quotient Z(27) -> Z(9): genuinely all E of size <= 3
     for r in (1, 2, 3):
         for E in combinations(range(27), r):
-            if not pushforward_check(CyclicSet(27, frozenset(E)), QuotientBy(3)):
+            if not pushforward_check(ResidueSet(27, E, "cyclic"), QuotientBy(3)):
                 return _fail(ident, desc, f"quotient Z(27)->Z(9) failed for E={E}", t0)
             checked += 1
     # quotient Z(3^7) -> Z(3^4): family-shaped generator pool
@@ -375,7 +374,7 @@ def criterion_11() -> CriterionResult:
                   | {1, 2, 4, 5, 7, 13})
     for r in (1, 2, 3):
         for E in combinations(pool, r):
-            if not pushforward_check(CyclicSet(3 ** 7, frozenset(E)), QuotientBy(27)):
+            if not pushforward_check(ResidueSet(3 ** 7, E, "cyclic"), QuotientBy(27)):
                 return _fail(ident, desc, f"quotient Z(3^7)->Z(3^4) failed for E={E}", t0)
             checked += 1
     return _ok(ident, desc, f"{checked} (E, f) pairs", t0)

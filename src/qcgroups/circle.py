@@ -80,20 +80,9 @@ class UnitRational:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        return render_rational(Fraction(self.num, self.den))
-
-
-def make_unit_rational(p: int, q: int) -> UnitRational:
-    """Canonical reduced representative of p/q mod 1 (q must be nonzero)."""
-    return UnitRational(p, q)
-
-
-def norm(x: UnitRational) -> Fraction:
-    return x.norm()
-
-
-def in_Tm(x: UnitRational, m: int) -> bool:
-    return x.in_Tm(m)
+        if self.den == 1:
+            return str(self.num)
+        return f"{self.num}/{self.den}"
 
 
 def render_rational(q: Fraction | int) -> str:
@@ -145,13 +134,6 @@ class RationalIntervalUnion:
             else:
                 merged.append((lo, hi))
         return cls(tuple(merged))
-
-    @classmethod
-    def empty(cls) -> "RationalIntervalUnion":
-        return cls(())
-
-    def is_empty(self) -> bool:
-        return not self.intervals
 
     def contains(self, q: Fraction | int) -> bool:
         q = Fraction(q)
@@ -235,9 +217,6 @@ class RationalIntervalUnion:
                 out.append((lo2, HALF))
                 out.append((-HALF, hi2 - 1))
         return RationalIntervalUnion.from_pairs(out)
-
-    def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
 
     def __str__(self) -> str:
         if not self.intervals:

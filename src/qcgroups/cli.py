@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import acceptance
 from .circle import parse_rational, render_rational
-from .duality import CyclicSet, GridSet, hull_cyclic, hull_grid, polar_grid
+from .duality import ResidueSet, hull, polar
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, verdict_J3, verdict_R2, verdict_T2,
@@ -36,13 +36,12 @@ DEFAULT_MAX_CYCLIC = 3 ** 13
 @dataclass
 class RunConfig:
     output: str = "json"           # "json" | "text"
-    jobs: int = 1
     max_grid: int = DEFAULT_MAX_GRID
     max_cyclic: int = DEFAULT_MAX_CYCLIC
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(output="text" if args.text else "json", jobs=args.jobs)
+        cfg = cls(output="text" if args.text else "json")
         override = os.environ.get("QCG_MAX_GRID")
         if override:
             try:
@@ -53,8 +52,6 @@ class RunConfig:
                 raise InvalidInputError("QCG_MAX_GRID must be positive")
             cfg.max_grid = bound
             cfg.max_cyclic = bound
-        if cfg.jobs < 1:
-            raise InvalidInputError("--jobs must be >= 1")
         return cfg
 
     def check_grid(self, modulus: int) -> None:
@@ -96,24 +93,24 @@ def _parse_int_set(text: str) -> list[int]:
     return items
 
 
-def _grid_input(args, cfg: RunConfig) -> GridSet:
+def _grid_input(args, cfg: RunConfig) -> ResidueSet:
     values = _parse_rational_set(args.set)
-    E = GridSet.from_rationals(values, args.grid)
+    E = ResidueSet.from_rationals(values, args.grid)
     cfg.check_grid(E.modulus)
     return E
 
 
 def cmd_polar_t(args, cfg: RunConfig) -> int:
     E = _grid_input(args, cfg)
-    P = polar_grid(E)
-    _emit(cfg, {"op": "polar-t", **P.as_json()},
+    P = polar(E)
+    _emit(cfg, {"op": "polar-t", "modulus": P.modulus, "residues": sorted(P.residues)},
           lambda: [f"polar mod {P.modulus}: {sorted(P.residues)}"])
     return 0
 
 
 def cmd_hull_t(args, cfg: RunConfig) -> int:
     E = _grid_input(args, cfg)
-    rep = hull_grid(E)
+    rep = hull(E)
     _emit(cfg, {"op": "hull-t", **rep.as_json(),
                 "quasi_convex": rep.is_quasi_convex()},
           lambda: [f"hull: {rep.as_json()['hull']}",
@@ -123,11 +120,11 @@ def cmd_hull_t(args, cfg: RunConfig) -> int:
 
 def cmd_hull_zn(args, cfg: RunConfig) -> int:
     cfg.check_cyclic(args.n)
-    E = CyclicSet(args.n, frozenset(_parse_int_set(args.set)))
-    rep = hull_cyclic(E)
+    E = ResidueSet(args.n, _parse_int_set(args.set), "cyclic")
+    rep = hull(E)
     _emit(cfg, {"op": "hull-zn", **rep.as_json(),
                 "quasi_convex": rep.is_quasi_convex()},
-          lambda: [f"hull in Z({args.n}): {sorted(rep.hull.elements)}",
+          lambda: [f"hull in Z({args.n}): {sorted(rep.hull.residues)}",
                    f"quasi-convex: {rep.is_quasi_convex()}"])
     return 0
 
@@ -135,12 +132,12 @@ def cmd_hull_zn(args, cfg: RunConfig) -> int:
 def cmd_hull_j3(args, cfg: RunConfig) -> int:
     group = PadicTruncGroup(args.level)
     cfg.check_cyclic(group.order)
-    E = CyclicSet(group.order, frozenset(_parse_int_set(args.set)))
-    rep = hull_cyclic(E)
-    canon = sorted(group.canonical(e) for e in rep.hull.elements)
+    E = ResidueSet(group.order, _parse_int_set(args.set), "cyclic")
+    rep = hull(E)
+    canon = sorted(group.canonical(e) for e in rep.hull.residues)
     witnesses = {str(group.canonical(p)): k for p, k in sorted(rep.witnesses.items())}
     _emit(cfg, {"op": "hull-j3", "level": args.level, "order": group.order,
-                "input": sorted(group.canonical(e) for e in E.elements),
+                "input": sorted(group.canonical(e) for e in E.residues),
                 "hull": canon, "witnesses": witnesses,
                 "quasi_convex": rep.is_quasi_convex()},
           lambda: [f"hull in Z(3^{args.level}): {canon}",
@@ -259,8 +256,10 @@ def cmd_verify_cert(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_paper(args, cfg: RunConfig) -> int:
+    if args.jobs < 1:
+        raise InvalidInputError("--jobs must be >= 1")
     idents = args.criteria.split(",") if args.criteria else None
-    results = acceptance.run_all(idents, jobs=cfg.jobs, stream=sys.stderr)
+    results = acceptance.run_all(idents, jobs=args.jobs, stream=sys.stderr)
     all_passed = all(r.passed for r in results)
     _emit(cfg, {"op": "verify-paper", "all_passed": all_passed,
                 "results": [{"id": r.ident, "description": r.description,
@@ -276,13 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcg",
         description="Exact polars, quasi-convex hulls and certificates in T, Z(n), Z(3^M) and R")
     common = argparse.ArgumentParser(add_help=False)
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True,
-                     help="canonical JSON output (default)")
-    fmt.add_argument("--text", action="store_true", default=False,
-                     help="human-oriented text output")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism degree for sweeps (>= 1)")
+    common.add_argument("--text", action="store_true",
+                        help="human-oriented text output instead of canonical JSON")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full acceptance suite")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion ids (default: all)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="criteria run in parallel processes (>= 1)")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -9,6 +9,11 @@ classes mod N, so both the polar and the hull are finite, exact integer
 computations.  The same arithmetic serves Z(n) with the pairing
 chi_k(x) = kx/n.
 
+So every finite set here is one ResidueSet: a modulus n and residues mod
+n, with a carrier ("grid" or "cyclic") that only decides how points are
+written and whether a quotient map applies.  polar(E) and hull(E) serve
+both carriers; the polar of either lies in the character group Z(n).
+
 The hot loops run on int64 numpy vectors; moduli are capped well below
 the overflow bound so every product is exact, and larger moduli are
 rejected.  Every test of "k*j/n lies in T_+" goes through in_t_plus.
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Literal, Union
 
 import numpy as np
 
@@ -136,21 +141,36 @@ def image_masks(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     return _bytewise(np.bitwise_or, np.uint64(0), rows, masks)
 
 
+Carrier = Literal["grid", "cyclic"]
+
+# the JSON key that names the modulus, per carrier
+_MODULUS_KEY = {"grid": "modulus", "cyclic": "order"}
+
+
 @dataclass(frozen=True)
-class GridSet:
-    """A finite subset of the grid (1/N)Z/Z, stored as residues mod N."""
+class ResidueSet:
+    """A finite set of residues mod n: a subset of Z(n), or of the grid (1/n)Z/Z.
+
+    The carrier only decides how points are written ("p/q" on a grid, the
+    integer itself in Z(n)) and whether QuotientBy applies (Z(n) only).
+    """
 
     modulus: int
-    points: frozenset[int]
+    residues: frozenset[int]
+    carrier: Carrier
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
-            raise InvalidInputError("grid modulus must be positive")
-        object.__setattr__(self, "points",
-                           frozenset(p % self.modulus for p in self.points))
+            raise InvalidInputError("modulus must be positive")
+        if self.carrier not in _MODULUS_KEY:
+            raise InvalidInputError(f"unknown carrier {self.carrier!r}")
+        object.__setattr__(self, "residues",
+                           frozenset(r % self.modulus for r in self.residues))
 
     @classmethod
-    def from_rationals(cls, values: Iterable[Fraction], modulus: int | None = None) -> "GridSet":
+    def from_rationals(cls, values: Iterable[Fraction],
+                       modulus: int | None = None) -> "ResidueSet":
+        """Grid set of the given rationals; the modulus defaults to their common denominator."""
         vals = [UnitRational.from_fraction(v) for v in values]
         need = 1
         for v in vals:
@@ -160,103 +180,55 @@ class GridSet:
         elif modulus % need:
             raise InvalidInputError(
                 f"grid modulus {modulus} does not hold denominators (need multiple of {need})")
-        return cls(modulus, frozenset((v.num * (modulus // v.den)) % modulus for v in vals))
+        return cls(modulus, frozenset(v.num * (modulus // v.den) for v in vals), "grid")
 
     def rationals(self) -> frozenset[UnitRational]:
-        return frozenset(UnitRational(p, self.modulus) for p in self.points)
+        return frozenset(UnitRational(r, self.modulus) for r in self.residues)
 
-    def as_json(self) -> dict:
-        return {"modulus": self.modulus,
-                "points": sorted(str(UnitRational(p, self.modulus)) for p in self.points)}
-
-
-@dataclass(frozen=True)
-class CyclicSet:
-    """A finite subset of Z(n)."""
-
-    order: int
-    elements: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise InvalidInputError("group order must be positive")
-        object.__setattr__(self, "elements",
-                           frozenset(e % self.order for e in self.elements))
-
-    def as_json(self) -> dict:
-        return {"order": self.order, "elements": sorted(self.elements)}
-
-
-@dataclass(frozen=True)
-class PolarSet:
-    """A union of residue classes mod N inside Z = the dual of T."""
-
-    modulus: int
-    residues: frozenset[int]
-
-    def as_json(self) -> dict:
-        return {"modulus": self.modulus, "residues": sorted(self.residues)}
-
-
-CarrierSet = Union[GridSet, CyclicSet]
+    def render(self, residues: Iterable[int]) -> list:
+        """The given residues as written in output: "p/q" strings on a grid, ints in Z(n)."""
+        if self.carrier == "cyclic":
+            return list(residues)
+        n = self.modulus
+        return [str(UnitRational(r, n)) for r in residues]
 
 
 @dataclass(frozen=True)
 class HullReport:
     """Hull of a finite set plus one verified excluding character per outside point."""
 
-    input_set: CarrierSet
-    hull: CarrierSet
+    input_set: ResidueSet
+    hull: ResidueSet
     witnesses: dict[int, int]
 
     def is_quasi_convex(self) -> bool:
-        if isinstance(self.input_set, GridSet):
-            return self.input_set.points == self.hull.points
-        return self.input_set.elements == self.hull.elements
+        return self.input_set.residues == self.hull.residues
 
     def as_json(self) -> dict:
-        if isinstance(self.input_set, GridSet):
-            n = self.input_set.modulus
-            return {
-                "kind": "grid",
-                "modulus": n,
-                "input": sorted(str(UnitRational(p, n)) for p in self.input_set.points),
-                "hull": sorted(str(UnitRational(p, n)) for p in self.hull.points),
-                "witnesses": {str(UnitRational(p, n)): k
-                              for p, k in sorted(self.witnesses.items())},
-            }
-        n = self.input_set.order
+        E = self.input_set
+        excluded = sorted(self.witnesses)
         return {
-            "kind": "cyclic",
-            "order": n,
-            "input": sorted(self.input_set.elements),
-            "hull": sorted(self.hull.elements),
-            "witnesses": {str(p): k for p, k in sorted(self.witnesses.items())},
+            "kind": E.carrier,
+            _MODULUS_KEY[E.carrier]: E.modulus,
+            "input": sorted(E.render(E.residues)),
+            "hull": sorted(E.render(self.hull.residues)),
+            "witnesses": {str(p): self.witnesses[r]
+                          for r, p in zip(excluded, E.render(excluded))},
         }
 
 
-def polar_grid(E: GridSet) -> PolarSet:
-    return PolarSet(E.modulus, polar_residues(E.modulus, E.points))
+def polar(E: ResidueSet) -> ResidueSet:
+    """The polar of E; characters of Z(n) and of the grid (1/n)Z/Z both live in Z(n)."""
+    return ResidueSet(E.modulus, polar_residues(E.modulus, E.residues), "cyclic")
 
 
-def hull_grid(E: GridSet) -> HullReport:
-    hull, wit = hull_residues(E.modulus, E.points)
-    return HullReport(E, GridSet(E.modulus, hull), wit)
+def hull(E: ResidueSet) -> HullReport:
+    hull_set, wit = hull_residues(E.modulus, E.residues)
+    return HullReport(E, ResidueSet(E.modulus, hull_set, E.carrier), wit)
 
 
-def polar_cyclic(E: CyclicSet) -> CyclicSet:
-    return CyclicSet(E.order, polar_residues(E.order, E.elements))
-
-
-def hull_cyclic(E: CyclicSet) -> HullReport:
-    hull, wit = hull_residues(E.order, E.elements)
-    return HullReport(E, CyclicSet(E.order, hull), wit)
-
-
-def is_quasi_convex(E: CarrierSet) -> bool:
-    if isinstance(E, GridSet):
-        return hull_grid(E).is_quasi_convex()
-    return hull_cyclic(E).is_quasi_convex()
+def is_quasi_convex(E: ResidueSet) -> bool:
+    return hull(E).is_quasi_convex()
 
 
 @dataclass(frozen=True)
@@ -276,39 +248,35 @@ class QuotientBy:
 Hom = Union[MultiplyBy, QuotientBy]
 
 
-def pushforward_check(E: CarrierSet, f: Hom) -> bool:
+def pushforward_check(E: ResidueSet, f: Hom) -> bool:
     """True iff f(hull(E)) is contained in hull(f(E)).
 
     This inclusion is a theorem for continuous homomorphisms, so a False
     return flags an implementation bug rather than a mathematical fact.
     """
-    if isinstance(E, GridSet):
-        n, pts = E.modulus, E.points
-    else:
-        n, pts = E.order, E.elements
+    n = E.modulus
     if isinstance(f, MultiplyBy):
-        image = frozenset((f.k * p) % n for p in pts)
-        src_hull, _ = hull_residues(n, pts)
-        dst_hull, _ = hull_residues(n, image)
-        return all((f.k * h) % n in dst_hull for h in src_hull)
-    if isinstance(f, QuotientBy):
-        if not isinstance(E, CyclicSet):
+        m = n
+        def image(x: int) -> int:
+            return f.k * x % n
+    elif isinstance(f, QuotientBy):
+        if E.carrier != "cyclic":
             raise InvalidInputError("quotient map applies to cyclic carriers")
         if f.d < 1 or n % f.d:
             raise InvalidInputError(f"{f.d} does not divide the order {n}")
         m = n // f.d
-        image = frozenset(p % m for p in pts)
-        src_hull, _ = hull_residues(n, pts)
-        dst_hull, _ = hull_residues(m, image)
-        return all(h % m in dst_hull for h in src_hull)
-    raise InvalidInputError(f"unknown homomorphism descriptor: {f!r}")
+        def image(x: int) -> int:
+            return x % m
+    else:
+        raise InvalidInputError(f"unknown homomorphism descriptor: {f!r}")
+    src_hull, _ = hull_residues(n, E.residues)
+    dst_hull, _ = hull_residues(m, {image(p) for p in E.residues})
+    return all(image(h) in dst_hull for h in src_hull)
 
 
-def trace_subgroup(n: int, x: int) -> frozenset[UnitRational]:
-    """Tr_x(Z(n)) = {chi(x) : chi in the dual} = the subgroup <x/n> of T."""
-    if n < 1:
-        raise InvalidInputError("group order must be positive")
-    return frozenset(UnitRational(k * x, n) for k in range(n))
+def trace_subgroup(n: int, x: int) -> ResidueSet:
+    """Tr_x(Z(n)) = {chi(x) : chi in the dual} = the subgroup <x/n> of T, on the grid mod n."""
+    return ResidueSet(n, [k * x for k in range(n)], "grid")
 
 
 @dataclass(frozen=True)
@@ -330,14 +298,15 @@ class TwoXReport:
 
 
 def check_two_x_equivalence(n: int, x: int) -> TwoXReport:
+    """Conditions (i)-(iv) for x in Z(n); (ii)-(iv) are read off residues r of r/n."""
+    _checked_modulus(n)
     x %= n
     i = hull_contains(n, {x, (3 * x) % n}, (2 * x) % n)
-    tr_x = trace_subgroup(n, x)
-    quarter = UnitRational(1, 4)
-    ii = quarter not in tr_x and -quarter not in tr_x
-    tr_2x = trace_subgroup(n, (2 * x) % n)
-    iii = UnitRational(1, 2) not in tr_2x
-    iv = not any(t.num != 0 and (t + t).num == 0 for t in tr_2x)
+    tr_x = trace_subgroup(n, x).residues
+    ii = not any(4 * r in (n, 3 * n) for r in tr_x)         # r/n = +-1/4
+    tr_2x = trace_subgroup(n, (2 * x) % n).residues
+    iii = not any(2 * r == n for r in tr_2x)                # r/n = 1/2
+    iv = not any(r and 2 * r % n == 0 for r in tr_2x)       # r/n + r/n = 0
     return TwoXReport(i, ii, iii, iv)
 
 

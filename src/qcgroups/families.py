@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .circle import UnitRational, render_rational
-from .duality import GridSet
+from .circle import UnitRational
+from .duality import ResidueSet
 from .errors import InvalidInputError
 
 QUASI_CONVEX = "QuasiConvex"
@@ -60,9 +60,6 @@ class GapSequence:
     def require_nonnegative(self) -> None:
         if self.entries[0] < 0:
             raise InvalidInputError("this family needs nonnegative entries")
-
-    def shifted(self, delta: int) -> "GapSequence":
-        return GapSequence(tuple(e + delta for e in self.entries))
 
     def prefix(self, count: int) -> "GapSequence":
         return GapSequence(self.entries[:count])
@@ -350,7 +347,7 @@ def necessary_report_R(b: DivisibleChain) -> NecessityReportR:
     return NecessityReportR(one, followed)
 
 
-def _points_grid(a: GapSequence, p: int, modulus: int | None) -> GridSet:
+def _points_grid(a: GapSequence, p: int, modulus: int | None) -> ResidueSet:
     a.require_nonnegative()
     need = p ** (a.entries[-1] + 1)
     if modulus is None:
@@ -363,15 +360,15 @@ def _points_grid(a: GapSequence, p: int, modulus: int | None) -> GridSet:
         j = modulus // p ** (an + 1)
         pts.add(j)
         pts.add(modulus - j)
-    return GridSet(modulus, frozenset(pts))
+    return ResidueSet(modulus, frozenset(pts), "grid")
 
 
-def points_K2(a: GapSequence, modulus: int | None = None) -> GridSet:
+def points_K2(a: GapSequence, modulus: int | None = None) -> ResidueSet:
     """{0} u {+-2^-(a_n+1)} on the dyadic grid (default modulus 2^(a_max+1))."""
     return _points_grid(a, 2, modulus)
 
 
-def points_K3(a: GapSequence, modulus: int | None = None) -> GridSet:
+def points_K3(a: GapSequence, modulus: int | None = None) -> ResidueSet:
     """{0} u {+-3^-(a_n+1)} on the triadic grid (default modulus 3^(a_max+1))."""
     return _points_grid(a, 3, modulus)
 
@@ -390,11 +387,3 @@ def points_L3(a: GapSequence, level: int):
     """{0} u {+-3^(a_n)} inside Z(3^level); see padic.L3_truncate."""
     from .padic import L3_truncate
     return L3_truncate(a, level)
-
-
-def render_point(p) -> str:
-    if isinstance(p, UnitRational):
-        return str(p)
-    if isinstance(p, Fraction):
-        return render_rational(p)
-    return str(p)

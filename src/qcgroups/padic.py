@@ -16,53 +16,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .circle import UnitRational, in_Tm
-from .duality import CyclicSet, in_t_plus, polar_residues
+from .circle import UnitRational
+from .duality import ResidueSet, in_t_plus, polar_residues
 from .errors import InvalidInputError
 from .families import GapSequence
 
 Side = Literal["T", "J"]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class PadicTruncGroup:
-    """The quotient Z(p^M) of the p-adic integers, p = 3 by default."""
+    """The quotient Z(3^M) of the 3-adic integers."""
 
     level: int
-    p: int = 3
 
     def __post_init__(self) -> None:
         if self.level < 1:
             raise InvalidInputError("level must be >= 1")
-        if not _is_prime(self.p):
-            raise InvalidInputError(f"{self.p} is not prime")
 
     @property
     def order(self) -> int:
-        return self.p ** self.level
+        return 3 ** self.level
 
     def canonical(self, x: int) -> int:
         """Signed residue in (-order/2, order/2]."""
         r = x % self.order
         return r if 2 * r <= self.order else r - self.order
 
-    def elements(self) -> range:
-        return range(self.order)
 
-
-def canonical_residue(x: int, level: int, p: int = 3) -> int:
-    return PadicTruncGroup(level, p).canonical(x)
+def canonical_residue(x: int, level: int) -> int:
+    return PadicTruncGroup(level).canonical(x)
 
 
 @dataclass(frozen=True)
@@ -90,14 +73,14 @@ class PruferChar:
         return {"multiplier": self.multiplier, "index": self.index}
 
 
-def zeta_eval(m: int, k: int, x: int, level: int, p: int = 3) -> UnitRational:
-    """m * zeta_k at x inside Z(p^level): exactly m*x / p^(k+1) mod 1."""
+def zeta_eval(m: int, k: int, x: int, level: int) -> UnitRational:
+    """m * zeta_k at x inside Z(3^level): exactly m*x / 3^(k+1) mod 1."""
     if k < 0:
         raise InvalidInputError("character index must be nonnegative")
     if k + 1 > level:
         raise InvalidInputError(
             f"zeta_{k} does not factor through level {level} (need level >= {k + 1})")
-    return UnitRational(m * x, p ** (k + 1))
+    return UnitRational(m * x, 3 ** (k + 1))
 
 
 def eta_eval(m: int, k: int, x: UnitRational) -> UnitRational:
@@ -132,10 +115,8 @@ class BalancedDigits:
         return "".join({-1: "-", 0: "0", 1: "+"}[d] for d in self.digits)
 
 
-def balanced_digits(x: int, level: int, p: int = 3) -> BalancedDigits:
+def balanced_digits(x: int, level: int) -> BalancedDigits:
     """Unique balanced representation of x in Z(3^level), low digit first."""
-    if p != 3:
-        raise InvalidInputError("balanced digits are base-3 only")
     v = canonical_residue(x, level)
     out = []
     for _ in range(level):
@@ -175,7 +156,7 @@ def leading_digit_lemma_check(y: UnitRational) -> bool:
 
     Property probe: must come back True for every 3-power-denominator y.
     """
-    if not (in_Tm(y, 1) and in_Tm(y + y, 1)):
+    if not (y.in_Tm(1) and (y + y).in_Tm(1)):
         return True
     digits = balanced_digits_circle(y).digits
     return not digits or digits[0] == 0
@@ -279,7 +260,7 @@ def q12_set(a: GapSequence, side: Side, exponent: int) -> frozenset:
     raise InvalidInputError(f"unknown side {side!r}")
 
 
-def L3_truncate(a: GapSequence, level: int) -> CyclicSet:
+def L3_truncate(a: GapSequence, level: int) -> ResidueSet:
     """{0} union {+-3^(a_n)} inside Z(3^level); needs a_n <= level - 2.
 
     The headroom of one extra digit lets the witness characters
@@ -295,4 +276,4 @@ def L3_truncate(a: GapSequence, level: int) -> CyclicSet:
         y = 3 ** an
         elems.add(y % n)
         elems.add((-y) % n)
-    return CyclicSet(n, frozenset(elems))
+    return ResidueSet(n, frozenset(elems), "cyclic")

@@ -27,7 +27,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .circle import HALF, RationalIntervalUnion, render_rational
-from .duality import GridSet, hull_grid
+from .duality import ResidueSet, hull
 from .errors import InvalidInputError
 
 QUARTER = Fraction(1, 4)
@@ -205,10 +205,9 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
     alpha = scale_into_half(S)
     scaled = [alpha * p for p in S.points]
     M = S.max_abs()
-    grid = GridSet.from_rationals(scaled)
-    report = hull_grid(grid)
+    grid = ResidueSet.from_rationals(scaled)
     out = set()
-    for j in sorted(report.hull.points):
+    for j in sorted(hull(grid).hull.residues):
         w = Fraction(j, grid.modulus)
         if w > HALF:
             w -= 1

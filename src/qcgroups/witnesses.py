@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
-from .circle import UnitRational, in_Tm, parse_rational, render_rational
+from .circle import UnitRational, parse_rational, render_rational
 from .errors import InvalidInputError
 from .families import GapSequence
 from .padic import PruferChar, canonical_residue, level_for, zeta_eval
@@ -135,7 +135,7 @@ def shift_char_T3(a: GapSequence, k: int, l: int, sign: int) -> int:
     m = 3 ** (e[l] - e[k]) + 2 * sign
     chi = m * 3 ** (e[k] - 1)
     for an in e:
-        if not in_Tm(UnitRational(chi, 3 ** (an + 1)), 1):
+        if not UnitRational(chi, 3 ** (an + 1)).in_Tm(1):
             raise RuntimeError("shift character left the polar; implementation bug")
     return chi
 
@@ -148,7 +148,7 @@ def shift_char_J3(a: GapSequence, k: int, l: int, sign: int) -> PruferChar:
     char = PruferChar(m, e[l] + 1)
     level = max(level_for(a), char.min_level())
     for an in e:
-        if not in_Tm(char(3 ** an, level), 1):
+        if not char(3 ** an, level).in_Tm(1):
             raise RuntimeError("shift character left the polar; implementation bug")
     return char
 
@@ -337,7 +337,7 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
         if any(g <= 1 for g in a.gaps) or e[0] <= 0:
             return False
         for an in e[:terms]:
-            if not in_Tm(UnitRational(cert.character, 3 ** (an + 1)), 1):
+            if not UnitRational(cert.character, 3 ** (an + 1)).in_Tm(1):
                 return False
         if cert.target * cert.character != cert.evaluation:
             return False
@@ -366,7 +366,7 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
         if any(g <= 1 for g in a.gaps):
             return False
         for an in e:
-            if not in_Tm(cert.character(3 ** an, level), 1):
+            if not cert.character(3 ** an, level).in_Tm(1):
                 return False
         value = zeta_eval(cert.character.multiplier, cert.character.index,
                           cert.target, level)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcgroups.circle import (RationalIntervalUnion, UnitRational, in_Tm,
-                             make_unit_rational, norm, tm_interval)
+from qcgroups.circle import RationalIntervalUnion, UnitRational, tm_interval
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -28,12 +27,12 @@ unit_rationals = st.builds(
     (-1, 2, UnitRational(1, 2)),   # -1/2 and 1/2 are the same circle point
 ])
 def test_canonical_representative(p, q, expected):
-    assert make_unit_rational(p, q) == expected
+    assert UnitRational(p, q) == expected
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(InvalidInputError):
-        make_unit_rational(1, 0)
+        UnitRational(1, 0)
 
 
 def test_canonical_window_is_half_open():
@@ -49,13 +48,13 @@ def test_canonical_window_is_half_open():
     (UnitRational(0, 1), F(0)),
 ])
 def test_norm_values(x, expected):
-    assert norm(x) == expected
+    assert x.norm() == expected
 
 
 @given(unit_rationals)
 def test_norm_symmetric_and_bounded(x):
-    assert norm(x) == norm(-x)
-    assert F(0) <= norm(x) <= F(1, 2)
+    assert x.norm() == (-x).norm()
+    assert F(0) <= x.norm() <= F(1, 2)
 
 
 @pytest.mark.parametrize("x,m,expected", [
@@ -66,20 +65,20 @@ def test_norm_symmetric_and_bounded(x):
     (UnitRational(1, 2), 1, False),
 ])
 def test_in_Tm_values(x, m, expected):
-    assert in_Tm(x, m) is expected
+    assert x.in_Tm(m) is expected
 
 
 @given(unit_rationals, st.integers(min_value=1, max_value=12),
        st.integers(min_value=1, max_value=12))
 def test_Tm_antitone_in_m(x, k, m):
-    if k <= m and in_Tm(x, m):
-        assert in_Tm(x, k)
+    if k <= m and x.in_Tm(m):
+        assert x.in_Tm(k)
 
 
 @given(unit_rationals, unit_rationals)
 def test_T2_plus_T2_inside_Tplus(x, y):
-    if in_Tm(x, 2) and in_Tm(y, 2):
-        assert in_Tm(x + y, 1)
+    if x.in_Tm(2) and y.in_Tm(2):
+        assert (x + y).in_Tm(1)
 
 
 @given(unit_rationals, unit_rationals)

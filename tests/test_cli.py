@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,7 +109,42 @@ def test_invalid_inputs_exit_2(capsys):
     assert run(capsys, "certify", "--family", "T3", "--seq", "1,3",
                "--epsilon", "1,0")[0] == 2
     assert run(capsys, "verify-cert", "--cert", "/nonexistent.json")[0] == 2
-    assert run(capsys, "hull-zn", "--n", "24", "--set", "1", "--jobs", "0")[0] == 2
+    assert run(capsys, "verify-paper", "--criteria", "criterion-03", "--jobs", "0")[0] == 2
+
+
+def test_jobs_belongs_to_verify_paper_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hull-zn", "--n", "24", "--set", "1", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+# sha256 of stdout for fixed calls; any byte changed in the output fails
+GOLDEN = [
+    (["hull-t", "--set", "0,1/9,-1/9,1/27,-1/27"],
+     "33cc2890381a67127cf6d4e5190fb88086c066fd49e7cae4f89a0b9661090417"),
+    (["hull-t", "--grid", "729", "--set", "0,1/9,-1/9"],
+     "20f0176746d4d2bce3c9749a49a6663abaff1926a046d2d2756d9826ff337535"),
+    (["hull-zn", "--n", "24", "--set", "1,3,6"],
+     "dcc580c994ce52ea98ee93b306851cca323e62cd71f5dcb28274e8401214e13b"),
+    (["hull-j3", "--level", "7", "--set", "0,1,-1,9,-9,81,-81"],
+     "26421cb59caba96d90f341fbc46d8d736e0dac7e0059da2f4079f7eee2af019c"),
+    (["polar-t", "--set", "1/4,-1/4"],
+     "66ab46d4b62aab38a1d631a486b70b6d06aba9974e33cb1612a080bd79636a07"),
+    (["q12", "--family", "T3", "--seq", "1,3"],
+     "aa13543f70431a62bf0a7ac44ea2a74834a956f2c62320c88996bdbe8b26b272"),
+    (["q12", "--family", "J3", "--seq", "0,2,4"],
+     "6618cff77bca02117b8da9d6a9cb2b78f8f7d3a6e130010a87b08b5784a16526"),
+    (["hull-t", "--set", "0,1/9,-1/9,1/27,-1/27", "--text"],
+     "e6c7fa197c234e1cbd4a343fc96ca71f0801a464b735c858d6c980bc9694b757"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_safety_bound_env_override(capsys, monkeypatch):

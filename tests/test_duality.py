@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcgroups.circle import UnitRational, in_Tm, tm_interval
-from qcgroups.duality import (CyclicSet, GridSet, MultiplyBy, QuotientBy,
+from qcgroups.circle import UnitRational, tm_interval
+from qcgroups.duality import (MultiplyBy, QuotientBy, ResidueSet,
                               char_polar_intervals, check_two_x_equivalence,
-                              hull_contains, hull_cyclic, hull_grid,
-                              hull_masks, hull_residues, image_masks,
-                              in_t_plus, is_quasi_convex, polar_cyclic,
-                              polar_grid, polar_residues, pushforward_check,
+                              hull, hull_contains, hull_masks, hull_residues,
+                              image_masks, in_t_plus, is_quasi_convex, polar,
+                              polar_residues, pushforward_check,
                               trace_subgroup, unit_fraction_chain_check)
 from qcgroups.errors import InvalidInputError
 
@@ -20,21 +19,34 @@ F = Fraction
 
 
 def grid(n, *points):
-    return GridSet(n, frozenset(points))
+    return ResidueSet(n, frozenset(points), "grid")
 
 
 def zn(n, *elements):
-    return CyclicSet(n, frozenset(elements))
+    return ResidueSet(n, frozenset(elements), "cyclic")
+
+
+def test_residue_set_validates_and_reduces():
+    assert grid(8, 9, -1).residues == frozenset({1, 7})
+    assert ResidueSet.from_rationals([F(1, 4), F(-1, 8)]) == grid(8, 2, 7)
+    assert grid(8, 2, 7).rationals() == {UnitRational(1, 4), UnitRational(-1, 8)}
+    assert grid(8, 2, 7).render([7, 2]) == ["-1/8", "1/4"]
+    assert zn(8, 2, 7).render([7, 2]) == [7, 2]
+    for bad in (lambda: zn(0, 1), lambda: grid(-4, 1),
+                lambda: ResidueSet(4, frozenset({1}), "real"),
+                lambda: ResidueSet.from_rationals([F(1, 3)], 8)):
+        with pytest.raises(InvalidInputError):
+            bad()
 
 
 # ------------------------------------------------------------------ polars
 
 
-def test_polar_grid_examples():
-    assert polar_grid(grid(8, 0, 1, 7)).residues == frozenset({0, 1, 2, 6, 7})
-    assert polar_grid(grid(4, 1, 3)).residues == frozenset({0, 1, 3})
-    assert polar_grid(grid(1, 0)).residues == frozenset({0})
-    assert polar_cyclic(zn(12, 1, 3)).elements == frozenset({0, 1, 3, 9, 11})
+def test_polar_examples():
+    assert polar(grid(8, 0, 1, 7)).residues == frozenset({0, 1, 2, 6, 7})
+    assert polar(grid(4, 1, 3)).residues == frozenset({0, 1, 3})
+    assert polar(grid(1, 0)).residues == frozenset({0})
+    assert polar(zn(12, 1, 3)).residues == frozenset({0, 1, 3, 9, 11})
 
 
 def test_polar_of_empty_set_rejected():
@@ -53,20 +65,20 @@ def test_polar_is_symmetric_and_contains_zero():
 # ------------------------------------------------------------------- hulls
 
 
-def test_hull_grid_examples():
-    rep = hull_grid(grid(8, 1))
-    assert rep.hull.points == frozenset({0, 1, 7})
+def test_hull_examples_on_a_grid():
+    rep = hull(grid(8, 1))
+    assert rep.hull.residues == frozenset({0, 1, 7})
     assert is_quasi_convex(grid(16, 0, 1, 15, 4, 12))
-    rep27 = hull_grid(grid(27, 0, 3, 24, 1, 26))
-    assert 2 in rep27.hull.points           # 2/27 contaminates the hull
+    rep27 = hull(grid(27, 0, 3, 24, 1, 26))
+    assert 2 in rep27.hull.residues         # 2/27 contaminates the hull
     assert not rep27.is_quasi_convex()
 
 
-def test_hull_cyclic_examples():
-    assert 4 in hull_cyclic(zn(24, 1, 3, 6)).hull.elements
-    assert 5 in hull_cyclic(zn(64, 1, 4, 8)).hull.elements
-    rep = hull_cyclic(zn(12, 1, 3))
-    assert 2 not in rep.hull.elements
+def test_hull_examples_in_zn():
+    assert 4 in hull(zn(24, 1, 3, 6)).hull.residues
+    assert 5 in hull(zn(64, 1, 4, 8)).hull.residues
+    rep = hull(zn(12, 1, 3))
+    assert 2 not in rep.hull.residues
     assert rep.witnesses[2] == 3            # smallest excluding character
 
 
@@ -78,15 +90,13 @@ def test_trivial_quasi_convex_sets():
 
 def test_witnesses_reverify():
     for E in [grid(27, 0, 3, 24, 1, 26), grid(12, 1, 5), zn(24, 1, 3, 6)]:
-        rep = hull_grid(E) if isinstance(E, GridSet) else hull_cyclic(E)
-        n = E.modulus if isinstance(E, GridSet) else E.order
-        pts = E.points if isinstance(E, GridSet) else E.elements
-        polar = polar_residues(n, pts)
-        hull_pts = rep.hull.points if isinstance(E, GridSet) else rep.hull.elements
-        assert set(rep.witnesses) == set(range(n)) - set(hull_pts)
+        rep = hull(E)
+        n = E.modulus
+        polar_set = polar_residues(n, E.residues)
+        assert set(rep.witnesses) == set(range(n)) - set(rep.hull.residues)
         for p, k in rep.witnesses.items():
-            assert k in polar
-            assert not in_Tm(UnitRational(k * p, n), 1)
+            assert k in polar_set
+            assert not UnitRational(k * p, n).in_Tm(1)
 
 
 @given(st.integers(min_value=1, max_value=40), st.data())
@@ -147,6 +157,8 @@ def test_kernel_rejects_bad_moduli():
             hull_residues(n, [1])
         with pytest.raises(InvalidInputError):
             hull_contains(n, [1], 1)
+        with pytest.raises(InvalidInputError):
+            check_two_x_equivalence(n, 1)
     with pytest.raises(InvalidInputError):
         polar_residues(3 ** 21, [1])
     with pytest.raises(InvalidInputError):
@@ -186,9 +198,9 @@ def test_pushforward_small_exhaustive():
 def test_trace_subgroup_examples():
     quarter_orbit = {UnitRational(0), UnitRational(1, 4),
                      UnitRational(1, 2), UnitRational(-1, 4)}
-    assert trace_subgroup(4, 1) == quarter_orbit
-    assert trace_subgroup(12, 3) == quarter_orbit
-    assert len(trace_subgroup(9, 2)) == 9
+    assert trace_subgroup(4, 1).rationals() == quarter_orbit
+    assert trace_subgroup(12, 3).rationals() == quarter_orbit
+    assert len(trace_subgroup(9, 2).rationals()) == 9
 
 
 def test_two_x_equivalence_examples():
@@ -201,9 +213,19 @@ def test_two_x_equivalence_examples():
 
 
 def test_two_x_equivalence_small_sweep():
+    # (ii)-(iv) against their definitions on traces built as UnitRationals,
+    # so an error shared by all three conditions cannot hide behind all_agree
+    quarter, half = UnitRational(1, 4), UnitRational(1, 2)
     for n in range(1, 61):
         for x in range(n):
-            assert check_two_x_equivalence(n, x).all_agree()
+            rep = check_two_x_equivalence(n, x)
+            assert rep.all_agree()
+            tr_x = {UnitRational(k * x, n) for k in range(n)}
+            tr_2x = {UnitRational(k * 2 * x, n) for k in range(n)}
+            assert rep.quarter_not_in_trace == (quarter not in tr_x and -quarter not in tr_x)
+            assert rep.half_not_in_trace2 == (half not in tr_2x)
+            assert rep.no_two_torsion == (
+                not any(t.num != 0 and (t + t).num == 0 for t in tr_2x))
 
 
 # ------------------------------------------------------------------ chains
@@ -255,5 +277,5 @@ def test_char_polar_matches_pointwise(ks):
     region = char_polar_intervals(ks)
     for j in range(-30, 31):
         x = UnitRational(j, 60)
-        expected = all(in_Tm(k * x, 1) for k in ks)
+        expected = all((k * x).in_Tm(1) for k in ks)
         assert region.contains_mod1(F(j, 60)) == expected

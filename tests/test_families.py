@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from qcgroups.circle import UnitRational
-from qcgroups.duality import hull_grid
+from qcgroups.duality import hull
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import (DivisibleChain, GapSequence, NOT_QUASI_CONVEX,
                                QUASI_CONVEX, chain_from_family,
@@ -181,8 +181,8 @@ def test_family_points():
     assert E.rationals() == {UnitRational(0), UnitRational(1, 9),
                              UnitRational(-1, 9), UnitRational(1, 81),
                              UnitRational(-1, 81)}
-    assert points_K2(GS(1)).points == {0, 1, 3}
-    assert points_L3(GS(0, 2), 4).elements == {0, 1, 9, 72, 80}
+    assert points_K2(GS(1)).residues == {0, 1, 3}
+    assert points_L3(GS(0, 2), 4).residues == {0, 1, 9, 72, 80}
     assert points_R2(GS(0, 2, 4)) == {F(0), F(1, 2), F(-1, 2), F(1, 8),
                                       F(-1, 8), F(1, 32), F(-1, 32)}
     assert F(2) in points_R2(GS(-2, 0))
@@ -190,7 +190,7 @@ def test_family_points():
 
 def test_family_points_modulus_override():
     E = points_K3(GS(1), modulus=27)
-    assert E.points == {0, 3, 24}
+    assert E.residues == {0, 3, 24}
     with pytest.raises(InvalidInputError):
         points_K3(GS(1), modulus=12)
     with pytest.raises(InvalidInputError):
@@ -222,10 +222,10 @@ def test_recipe_points_enter_hulls():
         recipe = v.witness_recipe
         w = recipe.witness_point(a)
         E = points(a.prefix(recipe.terms_needed))
-        rep = hull_grid(E)
+        rep = hull(E)
         res = (w.num * (E.modulus // w.den)) % E.modulus
-        assert res in rep.hull.points
-        assert res not in E.points
+        assert res in rep.hull.residues
+        assert res not in E.residues
 
 
 def test_recipe_requires_enough_terms():
@@ -249,18 +249,17 @@ def test_base3_verdicts_agree_with_truncated_hulls():
             v = verdict_T3(a)
             if v.outcome == QUASI_CONVEX:
                 for t in range(1, len(a) + 1):
-                    assert hull_grid(points_K3(a.prefix(t))).is_quasi_convex()
+                    assert hull(points_K3(a.prefix(t))).is_quasi_convex()
             else:
                 recipe = v.witness_recipe
                 work = _extended(a, recipe.terms_needed)
                 w = recipe.witness_point(work)
                 E = points_K3(work.prefix(recipe.terms_needed))
-                rep = hull_grid(E)
+                rep = hull(E)
                 res = (w.num * (E.modulus // w.den)) % E.modulus
-                assert res in rep.hull.points and res not in E.points
+                assert res in rep.hull.residues and res not in E.residues
 
     # 3-adic side: levels up to 7
-    from qcgroups.duality import hull_cyclic
 
     for r in range(1, 4):
         for entries in combinations(range(6), r):
@@ -270,12 +269,12 @@ def test_base3_verdicts_agree_with_truncated_hulls():
                 for t in range(1, len(a) + 1):
                     prefix = a.prefix(t)
                     L = points_L3(prefix, prefix.entries[-1] + 2)
-                    assert hull_cyclic(L).is_quasi_convex()
+                    assert hull(L).is_quasi_convex()
             else:
                 recipe = v.witness_recipe
                 w = recipe.witness_point(a)          # 2 * 3^(a_n), within data
                 prefix = a.prefix(recipe.terms_needed)
                 L = points_L3(prefix, prefix.entries[-1] + 2)
-                rep = hull_cyclic(L)
-                assert w % L.order in rep.hull.elements
-                assert w % L.order not in L.elements
+                rep = hull(L)
+                assert w % L.modulus in rep.hull.residues
+                assert w % L.modulus not in L.residues

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgroups.circle import RationalIntervalUnion
-from qcgroups.duality import GridSet, hull_grid
+from qcgroups.duality import ResidueSet, hull
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence, points_R2
 from qcgroups.realline import (RealFiniteSet, hull_R, member_hull_R,
@@ -111,16 +111,16 @@ def test_projection_agreement_with_circle():
     # pi is injective on (-1/2, 1/2): quasi-convex projection forces a
     # quasi-convex real set
     base = S(0, F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
-    grid = GridSet.from_rationals(base.points)
-    assert hull_grid(grid).is_quasi_convex()
+    grid = ResidueSet.from_rationals(base.points)
+    assert hull(grid).is_quasi_convex()
     assert hull_R(base) == base.points
 
 
 def test_pushforward_into_the_circle():
     base = S(0, F(1, 2), -F(1, 2), F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
     alpha = scale_into_half(base)
-    scaled = GridSet.from_rationals([alpha * p for p in base.points])
-    hull_circle = hull_grid(scaled).hull.points
+    scaled = ResidueSet.from_rationals([alpha * p for p in base.points])
+    hull_circle = hull(scaled).hull.residues
     for z in hull_R(base):
         w = alpha * z
         res = (w.numerator * (scaled.modulus // w.denominator)) % scaled.modulus

@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from qcgroups.circle import UnitRational, in_Tm
-from qcgroups.duality import hull_contains, hull_grid, hull_residues
+from qcgroups.circle import UnitRational
+from qcgroups.duality import hull, hull_contains, hull_residues
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence, points_K3
 from qcgroups.padic import L3_truncate, PruferChar, level_for
@@ -68,14 +68,14 @@ def test_shift_chars_live_in_the_polar():
                     if a.entries[0] > 0:
                         chi = shift_char_T3(a, k, l, sign)
                         for an in a.entries:
-                            assert in_Tm(UnitRational(chi, 3 ** (an + 1)), 1)
+                            assert UnitRational(chi, 3 ** (an + 1)).in_Tm(1)
                         m = 3 ** (a.entries[l] - a.entries[k]) + 2 * sign
                         tb = tail_bound_T3(a, m, k, l + 1, l=l)
                         assert tb.bound < F(1, 4)
                     char = shift_char_J3(a, k, l, sign)
                     level = max(level_for(a), char.min_level())
                     for an in a.entries:
-                        assert in_Tm(char(3 ** an, level), 1)
+                        assert char(3 ** an, level).in_Tm(1)
 
 
 # ------------------------------------------------------------ tail bounds
@@ -176,7 +176,7 @@ def test_leading_sign_normalization():
 def test_certificates_exclude_targets_from_truncated_hulls():
     a = GS(1, 3, 6)
     E = points_K3(a)
-    rep = hull_grid(E)
+    rep = hull(E)
     n = E.modulus
     for eps in product((-1, 0, 1), repeat=3):
         if sum(1 for e in eps if e) < 2:
@@ -184,17 +184,17 @@ def test_certificates_exclude_targets_from_truncated_hulls():
         cert = exclusion_T3(a, eps)
         assert verify_certificate(cert)
         res = (cert.target.num * (n // cert.target.den)) % n
-        assert res not in rep.hull.points
+        assert res not in rep.hull.residues
 
     aj = GS(0, 3)
     L = L3_truncate(aj, 5)
-    hull, _ = hull_residues(L.order, L.elements)
+    hull_set, _ = hull_residues(L.modulus, L.residues)
     for eps in product((-1, 0, 1), repeat=2):
         if sum(1 for e in eps if e) < 2:
             continue
         cert = exclusion_J3(aj, eps)
         assert verify_certificate(cert, 5)
-        assert cert.target % L.order not in hull
+        assert cert.target % L.modulus not in hull_set
 
 
 def test_verify_rejects_tampering():

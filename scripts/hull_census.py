@@ -16,13 +16,14 @@ import argparse
 from itertools import combinations
 
 from qcgroups.duality import hull
-from qcgroups.families import (GapSequence, points_K2, points_K3, points_L3,
-                               verdict_J3, verdict_T2, verdict_T3)
+from qcgroups.families import (GapSequence, points_K2, points_K3, verdict_J3,
+                               verdict_T2, verdict_T3)
+from qcgroups.padic import L3_truncate
 
 FAMILIES = {
     "T2": (verdict_T2, lambda a: points_K2(a)),
     "T3": (verdict_T3, lambda a: points_K3(a)),
-    "J3": (verdict_J3, lambda a: points_L3(a, a.entries[-1] + 2)),
+    "J3": (verdict_J3, lambda a: L3_truncate(a, a.entries[-1] + 2)),
 }
 
 

@@ -13,7 +13,7 @@ from .duality import (HullReport, MultiplyBy, QuotientBy, ResidueSet,
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, Verdict, WitnessRecipe,
                        chain_from_family, necessary_report_R, necessary_report_T,
-                       points_K2, points_K3, points_L3, points_R2,
+                       points_K2, points_K3, points_R2,
                        sufficiency_dikleo, verdict_J3, verdict_R2, verdict_T2,
                        verdict_T3)
 from .padic import (BalancedDigits, PadicTruncGroup, PruferChar, balanced_digits,

@@ -93,18 +93,32 @@ def render_rational(q: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise InvalidInputError(f"not a rational: {text!r} (expected a string)")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"not a rational: {text!r}") from exc
 
 
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
+def intersect_pairs(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
+    """Intersection of two sorted lists of disjoint closed intervals [lo, hi].
 
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
+    Endpoints may be ints or Fractions.  Pieces cut from different pairs
+    of inputs cannot meet, so the output is sorted and disjoint as well.
+    """
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,73 +164,12 @@ class RationalIntervalUnion:
         return RationalIntervalUnion.from_pairs(self.intervals + other.intervals)
 
     def intersect(self, other: "RationalIntervalUnion") -> "RationalIntervalUnion":
-        # two-pointer sweep over the sorted disjoint interval lists
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return RationalIntervalUnion.from_pairs(out)
-
-    def complement_within(self, lo: Fraction | int, hi: Fraction | int) -> "RationalIntervalUnion":
-        """Closure of [lo, hi] minus this union (endpoints kept closed)."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise InvalidInputError("empty window")
-        out = []
-        cursor = lo
-        for ilo, ihi in self.intervals:
-            if ihi < lo or ilo > hi:
-                continue
-            if ilo > cursor:
-                out.append((cursor, ilo))
-            cursor = max(cursor, ihi)
-        if cursor < hi:
-            out.append((cursor, hi))
-        return RationalIntervalUnion.from_pairs(out)
-
-    def scale(self, r: Fraction | int) -> "RationalIntervalUnion":
-        r = Fraction(r)
-        if r == 0:
-            raise InvalidInputError("scale by zero")
-        if r > 0:
-            return RationalIntervalUnion.from_pairs(
-                (lo * r, hi * r) for lo, hi in self.intervals)
-        return RationalIntervalUnion.from_pairs(
-            (hi * r, lo * r) for lo, hi in self.intervals)
+        return RationalIntervalUnion(tuple(intersect_pairs(self.intervals, other.intervals)))
 
     def translate(self, r: Fraction | int) -> "RationalIntervalUnion":
         r = Fraction(r)
         return RationalIntervalUnion.from_pairs(
             (lo + r, hi + r) for lo, hi in self.intervals)
-
-    def reduce_mod_1(self) -> "RationalIntervalUnion":
-        """Image mod 1 inside the window (-1/2, 1/2].
-
-        A wrapped piece is stored with left endpoint -1/2, which denotes
-        the same circle point as +1/2; circle membership queries must go
-        through contains_mod1.
-        """
-        out: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in self.intervals:
-            if hi - lo >= 1:
-                out.append((-HALF, HALF))
-                continue
-            t = _ceil(lo - HALF)  # lo - t in (-1/2, 1/2]
-            lo2, hi2 = lo - t, hi - t
-            if hi2 <= HALF:
-                out.append((lo2, hi2))
-            else:
-                out.append((lo2, HALF))
-                out.append((-HALF, hi2 - 1))
-        return RationalIntervalUnion.from_pairs(out)
 
     def __str__(self) -> str:
         if not self.intervals:

@@ -19,18 +19,22 @@ the overflow bound so every product is exact, and larger moduli are
 rejected.  Every test of "k*j/n lies in T_+" goes through in_t_plus.
 For n <= 64 a subset of Z(n) fits in one uint64, and hull_masks /
 image_masks take the hulls and images of whole arrays of subsets at once.
+
+The polar inside T of finite integer characters is a union of closed
+intervals; polar_sweep computes it on integers, for char_polar_intervals
+here and, scaled by the period, for realline.polar_R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Literal, Union
 
 import numpy as np
 
-from .circle import HALF, RationalIntervalUnion, UnitRational
+from .circle import HALF, RationalIntervalUnion, UnitRational, intersect_pairs
 from .errors import InvalidInputError
 
 # products k*j with k, j < n must fit in int64
@@ -43,6 +47,32 @@ def in_t_plus(r, n):
     Works unchanged on Python ints and on int64 numpy arrays.
     """
     return (4 * r <= n) | (4 * (n - r) <= n)
+
+
+def polar_sweep(cs: Iterable[int], lo: Fraction, hi: Fraction,
+                scale: int = 1) -> RationalIntervalUnion:
+    """{t in [lo, hi] : c*t in T_+ for every c in cs}, endpoints multiplied by scale.
+
+    cs are positive integers and lo, hi multiples of 1/4.  The sweep runs
+    on integers over L = 4*lcm(cs): character c contributes the pieces
+    [(4j-1)*L/4c, (4j+1)*L/4c] that meet the window, one sorted list per
+    character, intersected in turn.  Fractions are built only for the
+    result.
+    """
+    cs = sorted(set(cs))
+    L = 4 * lcm(*cs)
+    a, b = lo * L, hi * L
+    if a.denominator != 1 or b.denominator != 1:
+        raise InvalidInputError(f"window [{lo}, {hi}] is not on the 1/{L} grid")
+    a, b = a.numerator, b.numerator
+    acc = [(a, b)]
+    for c in cs:
+        m = L // (4 * c)
+        js = range(-((m - a) // (4 * m)), (b + m) // (4 * m) + 1)     # pieces meeting [a, b]
+        acc = intersect_pairs(acc, [(max((4 * j - 1) * m, a), min((4 * j + 1) * m, b))
+                                    for j in js])
+    return RationalIntervalUnion(tuple((Fraction(x * scale, L), Fraction(y * scale, L))
+                                       for x, y in acc))
 
 
 def _checked_modulus(n: int, limit: int = _NUMPY_SAFE_MODULUS) -> None:
@@ -337,15 +367,4 @@ def char_polar_intervals(ks: Iterable[int]) -> RationalIntervalUnion:
     e.g. {1,3,4} gives {+-1/4} union T_4 and {1,4,8} gives
     T_8 union +-(15/64 + T_16).
     """
-    acc = RationalIntervalUnion.from_pairs([(-HALF, HALF)])
-    for k in sorted({abs(int(k)) for k in ks}):
-        if k == 0:
-            continue
-        pieces = []
-        for j in range(-(k // 2) - 1, k // 2 + 2):
-            lo = Fraction(4 * j - 1, 4 * k)
-            hi = Fraction(4 * j + 1, 4 * k)
-            pieces.append((max(lo, -HALF), min(hi, HALF)))
-        pieces = [(lo, hi) for lo, hi in pieces if lo <= hi]
-        acc = acc.intersect(RationalIntervalUnion.from_pairs(pieces))
-    return acc
+    return polar_sweep({abs(int(k)) for k in ks} - {0}, -HALF, HALF)

@@ -382,8 +382,3 @@ def points_R2(a: GapSequence) -> frozenset[Fraction]:
         pts.add(-x)
     return frozenset(pts)
 
-
-def points_L3(a: GapSequence, level: int):
-    """{0} u {+-3^(a_n)} inside Z(3^level); see padic.L3_truncate."""
-    from .padic import L3_truncate
-    return L3_truncate(a, level)

@@ -3,20 +3,23 @@
 The dual of R is R itself with pairing (y, x) -> yx mod 1, so the polar
 of a finite rational set S is a countable union of closed intervals that
 repeats with period D, the common denominator of S: shifting y by D moves
-every yx by an integer.  One period is stored exactly.
+every yx by an integer.  One period is stored exactly.  With y = D*t it
+is D times the circle polar of the integer characters c = D*|x| on the
+window t in [0, 1], so polar_R is duality.polar_sweep on that window.
 
 Hull membership is decidable: for z = u/v the shifts k*D*z mod 1 take
 finitely many values (multiples of gcd(D*u, v)/v), so z is in the hull
 iff z * (one period) + s stays inside T_+ mod 1 for each of those
 finitely many shift values s.  Each check is closed-interval arithmetic
-with exact rational endpoints.
+with exact rational endpoints; PeriodicPolar.member runs it.
 
 The full hull is recovered through the circle: scale S into (-1/2, 1/2)
 by a power of two, push down to a grid in T, take the grid hull there,
-pull the finitely many candidates back and keep the ones member_hull_R
-accepts.  The scaling map is an automorphism of R and the projection is
-injective on the open window, so this candidate set provably contains
-the hull, and the member filter is exact.
+pull the finitely many candidates back and keep the ones the polar of S
+admits (one polar, built once, tests every candidate).  The scaling map
+is an automorphism of R and the projection is injective on the open
+window, so this candidate set provably contains the hull, and the member
+filter is exact.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .circle import HALF, RationalIntervalUnion, render_rational
-from .duality import ResidueSet, hull
+from .duality import ResidueSet, hull, polar_sweep
 from .errors import InvalidInputError
 
 QUARTER = Fraction(1, 4)
@@ -83,6 +86,36 @@ class PeriodicPolar:
         r = Fraction(y) % self.period
         return self.one_period.contains(r) or self.one_period.contains(r + self.period)
 
+    def member(self, z: Fraction) -> HullMembership:
+        """z in the hull of any set with this polar, with a re-verified witness on Out."""
+        D = self.period
+        dz = D * z
+        shift_den = dz.denominator          # kD z mod 1 hits j/shift_den, all j
+        num_mod = dz.numerator % shift_den
+        for j in range(shift_den):
+            s = Fraction(j, shift_den)
+            if shift_den == 1:
+                k_j = 0
+            else:
+                k_j = (j * pow(num_mod, -1, shift_den)) % shift_den
+            for lo, hi in self.one_period.intervals:
+                if z > 0:
+                    A, B = z * lo + s, z * hi + s
+                else:
+                    A, B = z * hi + s, z * lo + s
+                if _interval_in_Tplus_mod1(A, B):
+                    continue
+                w_img = _bad_point_in(A, B)
+                y = (w_img - s) / z + k_j * D
+                # re-verify before reporting
+                if not self.contains(y):
+                    raise RuntimeError("witness fell outside the polar; implementation bug")
+                prod = y * z
+                if _interval_in_Tplus_mod1(prod, prod):
+                    raise RuntimeError("witness does not exclude; implementation bug")
+                return HullMembership(False, y)
+        return HullMembership(True)
+
     def as_json(self) -> dict:
         return {"period": render_rational(self.period),
                 "intervals": self.one_period.as_json()}
@@ -103,25 +136,13 @@ class HullMembership:
 
 def polar_R(S: RealFiniteSet) -> PeriodicPolar:
     """{y : yx in T_+ for every x in S}, exactly, one period at a time."""
-    nonzero = sorted({abs(p) for p in S.points if p != 0})
+    nonzero = {abs(p) for p in S.points if p != 0}
     if not nonzero:
         return PeriodicPolar(Fraction(1),
                              RationalIntervalUnion.from_pairs([(0, 1)]))
-    D = Fraction(S.common_denominator)
-    acc = RationalIntervalUnion.from_pairs([(Fraction(0), D)])
-    for x in nonzero:
-        c = x * D
-        if c.denominator != 1:
-            raise RuntimeError("period does not clear a denominator; implementation bug")
-        c = c.numerator
-        pieces = []
-        for j in range(0, c + 1):
-            lo = Fraction(4 * j - 1, 4) * D / c
-            hi = Fraction(4 * j + 1, 4) * D / c
-            pieces.append((max(lo, Fraction(0)), min(hi, D)))
-        pieces = [(lo, hi) for lo, hi in pieces if lo <= hi]
-        acc = acc.intersect(RationalIntervalUnion.from_pairs(pieces))
-    return PeriodicPolar(D, acc)
+    D = S.common_denominator
+    return PeriodicPolar(Fraction(D),
+                         polar_sweep({(x * D).numerator for x in nonzero}, 0, 1, scale=D))
 
 
 def _interval_in_Tplus_mod1(A: Fraction, B: Fraction) -> bool:
@@ -158,35 +179,7 @@ def member_hull_R(S: RealFiniteSet, z: Fraction | int) -> HullMembership:
     if all(p == 0 for p in S.points):
         w = 1 / (2 * z)
         return HullMembership(False, w)
-
-    polar = polar_R(S)
-    D = polar.period
-    dz = D * z
-    shift_den = dz.denominator          # kD z mod 1 hits j/shift_den, all j
-    num_mod = dz.numerator % shift_den
-    for j in range(shift_den):
-        s = Fraction(j, shift_den)
-        if shift_den == 1:
-            k_j = 0
-        else:
-            k_j = (j * pow(num_mod, -1, shift_den)) % shift_den
-        for lo, hi in polar.one_period.intervals:
-            if z > 0:
-                A, B = z * lo + s, z * hi + s
-            else:
-                A, B = z * hi + s, z * lo + s
-            if _interval_in_Tplus_mod1(A, B):
-                continue
-            w_img = _bad_point_in(A, B)
-            y = (w_img - s) / z + k_j * D
-            # re-verify before reporting
-            if not polar.contains(y):
-                raise RuntimeError("witness fell outside the polar; implementation bug")
-            prod = y * z
-            if _interval_in_Tplus_mod1(prod, prod):
-                raise RuntimeError("witness does not exclude; implementation bug")
-            return HullMembership(False, y)
-    return HullMembership(True)
+    return polar_R(S).member(z)
 
 
 def scale_into_half(S: RealFiniteSet) -> Fraction:
@@ -206,6 +199,7 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
     scaled = [alpha * p for p in S.points]
     M = S.max_abs()
     grid = ResidueSet.from_rationals(scaled)
+    polar = polar_R(S)
     out = set()
     for j in sorted(hull(grid).hull.residues):
         w = Fraction(j, grid.modulus)
@@ -214,7 +208,7 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
         z = w / alpha
         if abs(z) > M:
             continue
-        if member_hull_R(S, z).inside:
+        if polar.member(z).inside:
             out.add(z)
     missing = S.points - out
     if missing:

@@ -78,6 +78,13 @@ class ExclusionCertificate:
 _SPACES = {"T3": "grid", "J3": "padic-trunc"}
 
 
+def _integer(value) -> int:
+    """A JSON integer field; true/false and floats such as 1.0 are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"expected an integer, not {value!r}")
+    return value
+
+
 def certificate_from_json(data: dict) -> ExclusionCertificate:
     try:
         if data["schema"] != SCHEMA:
@@ -90,24 +97,26 @@ def certificate_from_json(data: dict) -> ExclusionCertificate:
                 f"{kind} certificates live in space {_SPACES[kind]!r}, not {data['space']!r}")
         if len(data["indices"]) != 2:
             raise InvalidInputError("certificate indices must be a pair [k, l]")
-        fam = GapSequence(tuple(int(e) for e in data["family"]["entries"]))
+        negated = data.get("negated", False)
+        if not isinstance(negated, bool):
+            raise InvalidInputError(f"negated must be true or false, not {negated!r}")
+        fam = GapSequence(tuple(_integer(e) for e in data["family"]["entries"]))
         if kind == "T3":
-            character: Union[int, PruferChar] = int(data["character"])
+            character: Union[int, PruferChar] = _integer(data["character"])
             target: Union[UnitRational, int] = UnitRational.from_fraction(
                 parse_rational(data["target"]))
         else:
-            character = PruferChar(int(data["character"]["multiplier"]),
-                                   int(data["character"]["index"]))
-            target = int(data["target"])
-        tb = TailBound(int(data["tail_bound"]["start"]),
+            character = PruferChar(_integer(data["character"]["multiplier"]),
+                                   _integer(data["character"]["index"]))
+            target = _integer(data["target"])
+        tb = TailBound(_integer(data["tail_bound"]["start"]),
                        parse_rational(data["tail_bound"]["bound"]))
         return ExclusionCertificate(
             space=data["space"], family_kind=kind, family=fam,
             character=character, target=target,
             evaluation=UnitRational.from_fraction(parse_rational(data["evaluation"])),
-            rho=int(data["rho"]), k_index=int(data["indices"][0]),
-            l_index=int(data["indices"][1]), tail_bound=tb,
-            negated=bool(data.get("negated", False)))
+            rho=_integer(data["rho"]), k_index=_integer(data["indices"][0]),
+            l_index=_integer(data["indices"][1]), tail_bound=tb, negated=negated)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInputError):
             raise

@@ -105,8 +105,6 @@ def U(*pairs):
 
 def test_interval_examples():
     assert U((F(-1, 4), F(1, 4))).intersect(U((F(1, 8), F(3, 8)))) == U((F(1, 8), F(1, 4)))
-    assert U((F(-1, 16), F(1, 16))).scale(4) == U((F(-1, 4), F(1, 4)))
-    assert U((F(3, 4), F(5, 4))).reduce_mod_1() == U((F(-1, 4), F(1, 4)))
 
 
 def test_interval_normalization_merges_touching():
@@ -116,19 +114,15 @@ def test_interval_normalization_merges_touching():
         U((1, 0))
 
 
-def test_reduce_mod_1_wraps_and_saturates():
-    wrapped = U((F(1, 4), F(3, 4))).reduce_mod_1()
-    assert wrapped.contains_mod1(F(1, 4))
-    assert wrapped.contains_mod1(F(1, 2))
-    assert wrapped.contains_mod1(F(-3, 8))
-    assert not wrapped.contains_mod1(F(0))
-    assert U((0, 2)).reduce_mod_1() == U((F(-1, 2), F(1, 2)))
-
-
 def test_window_edges_identified():
     left = U((F(-1, 2), F(-1, 4)))
     assert left.contains_mod1(F(1, 2))
     assert not left.contains_mod1(F(0))
+    # [1/4, 3/4] on the circle, stored wrapped into the window
+    wrapped = U((F(1, 4), F(1, 2)), (F(-1, 2), F(-1, 4)))
+    for q in (F(1, 4), F(1, 2), F(-3, 8), F(5, 8), F(3, 4)):
+        assert wrapped.contains_mod1(q)
+    assert not wrapped.contains_mod1(F(0))
 
 
 intervals_strategy = st.lists(
@@ -143,32 +137,18 @@ probes = [F(k, 24) for k in range(-60, 61)]
 @settings(max_examples=60)
 def test_union_and_intersection_pointwise(a, b):
     u, i = a.union(b), a.intersect(b)
+    assert i == RationalIntervalUnion.from_pairs(i.intervals)    # already normalized
     for q in probes:
         assert u.contains(q) == (a.contains(q) or b.contains(q))
         assert i.contains(q) == (a.contains(q) and b.contains(q))
 
 
-@given(intervals_strategy)
+@given(intervals_strategy, st.integers(-30, 30))
 @settings(max_examples=60)
-def test_complement_pointwise(a):
-    c = a.complement_within(F(-2), F(2))
-    for q in probes:
-        if not a.contains(q) and abs(q) <= 2:
-            assert c.contains(q)
-        # boundary points of a may legitimately lie in the closed complement
-        if c.contains(q):
-            interior = any(lo < q < hi for lo, hi in a.intervals)
-            assert not interior and abs(q) <= 2
-
-
-@given(intervals_strategy, st.integers(-5, 5).filter(lambda k: k),
-       st.integers(-30, 30))
-@settings(max_examples=60)
-def test_scale_translate_pointwise(a, k, t0):
+def test_translate_pointwise(a, t0):
     t = F(t0, 6)
-    s, tr = a.scale(k), a.translate(t)
+    tr = a.translate(t)
     for q in probes:
-        assert s.contains(q * k) == a.contains(q)
         assert tr.contains(q + t) == a.contains(q)
 
 

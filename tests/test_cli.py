@@ -137,6 +137,16 @@ GOLDEN = [
      "6618cff77bca02117b8da9d6a9cb2b78f8f7d3a6e130010a87b08b5784a16526"),
     (["hull-t", "--set", "0,1/9,-1/9,1/27,-1/27", "--text"],
      "e6c7fa197c234e1cbd4a343fc96ca71f0801a464b735c858d6c980bc9694b757"),
+    (["polar-r", "--set", "1/4"],
+     "19c8205924aa52759517314fca1ced8bd5a4252eb27d8824251f2f0acb2b6158"),
+    (["polar-r", "--set", "1/6,1/2,1", "--text"],
+     "b9a8feeca39e5fd1c8336cdca21603294ebdd5859a89a18feef3163722ab6885"),
+    (["hull-r", "--set", "0,1/2,-1/2,1/4,-1/4,1/16,-1/16"],
+     "8f911ecc2ad20652be9ad1be4b8ada169a319f56425f38958633f9d4ca38ca98"),
+    (["member-r", "--set", "1/6,1/2,1", "--target", "2/3"],          # In
+     "f4a9a2080b8f8eada6ea652dc50fd9a43428001f001345b1219bfe9853dcf220"),
+    (["member-r", "--set", "1/4", "--target", "1/2"],                # Out, witness 3/4
+     "e10d538074079020c63151325a1c265dae2d122c902c387cc0f47da18b8189d0"),
 ]
 
 
@@ -196,6 +206,7 @@ def test_mutated_certificates_exit_2(tmp_path, capsys, family, seq, epsilon):
     assert code == 0
     good = json.loads(text)
     other_space = {"T3": "padic-trunc", "J3": "grid"}[family]
+    k, l = good["indices"]
     mutations = [
         ("indices", [0]),
         ("indices", []),
@@ -204,7 +215,26 @@ def test_mutated_certificates_exit_2(tmp_path, capsys, family, seq, epsilon):
         ("space", "nowhere"),
         ("space", other_space),
         ("space", "real-line"),
+        # JSON numbers where a rational string belongs, and true/false or
+        # floats where an integer belongs
+        ("evaluation", 0),
+        ("tail_bound", {**good["tail_bound"], "bound": 0}),
+        ("tail_bound", {**good["tail_bound"], "start": float(good["tail_bound"]["start"])}),
+        ("rho", float(good["rho"])),
+        ("rho", True),
+        ("indices", [k, float(l)]),
+        ("indices", [False, l]),
+        ("family", {**good["family"], "entries": [float(e) for e in good["family"]["entries"]]}),
+        ("negated", "no"),
+        ("negated", 0),
     ]
+    if family == "T3":
+        mutations += [("target", 0), ("character", True), ("character", 11.0)]
+    else:
+        char = good["character"]
+        mutations += [("target", float(good["target"])), ("target", True),
+                      ("character", {**char, "multiplier": float(char["multiplier"])}),
+                      ("character", {**char, "index": True})]
     path = tmp_path / "cert.json"
     for key, value in mutations + [("schema", None), ("space", None)]:
         data = dict(good)

@@ -11,7 +11,7 @@ from qcgroups.duality import (MultiplyBy, QuotientBy, ResidueSet,
                               char_polar_intervals, check_two_x_equivalence,
                               hull, hull_contains, hull_masks, hull_residues,
                               image_masks, in_t_plus, is_quasi_convex, polar,
-                              polar_residues, pushforward_check,
+                              polar_residues, polar_sweep, pushforward_check,
                               trace_subgroup, unit_fraction_chain_check)
 from qcgroups.errors import InvalidInputError
 
@@ -269,6 +269,15 @@ def test_char_polar_interval_constants():
     assert char_polar_intervals([1, 3, 4]) == expected_134
     assert char_polar_intervals([1]) == tm_interval(1)
     assert char_polar_intervals([]).contains(F(1, 2))
+
+
+def test_polar_sweep_window_and_scale():
+    # no characters: the whole window; endpoints scale exactly
+    assert polar_sweep([], F(-1, 2), F(1, 2)).intervals == ((F(-1, 2), F(1, 2)),)
+    assert polar_sweep([2], 0, 1, scale=6).intervals == (
+        (F(0), F(3, 4)), (F(9, 4), F(15, 4)), (F(21, 4), F(6)))
+    with pytest.raises(InvalidInputError):
+        polar_sweep([3], F(0), F(1, 8))      # 1/8 is off the 1/12 grid
 
 
 @given(st.sets(st.integers(0, 12), min_size=1, max_size=3))

@@ -9,9 +9,10 @@ from qcgroups.errors import InvalidInputError
 from qcgroups.families import (DivisibleChain, GapSequence, NOT_QUASI_CONVEX,
                                QUASI_CONVEX, chain_from_family,
                                necessary_report_R, necessary_report_T,
-                               points_K2, points_K3, points_L3, points_R2,
+                               points_K2, points_K3, points_R2,
                                sufficiency_dikleo, verdict_J3, verdict_R2,
                                verdict_T2, verdict_T3)
+from qcgroups.padic import L3_truncate
 
 GS = GapSequence.of
 F = Fraction
@@ -182,7 +183,7 @@ def test_family_points():
                              UnitRational(-1, 9), UnitRational(1, 81),
                              UnitRational(-1, 81)}
     assert points_K2(GS(1)).residues == {0, 1, 3}
-    assert points_L3(GS(0, 2), 4).residues == {0, 1, 9, 72, 80}
+    assert L3_truncate(GS(0, 2), 4).residues == {0, 1, 9, 72, 80}
     assert points_R2(GS(0, 2, 4)) == {F(0), F(1, 2), F(-1, 2), F(1, 8),
                                       F(-1, 8), F(1, 32), F(-1, 32)}
     assert F(2) in points_R2(GS(-2, 0))
@@ -268,13 +269,13 @@ def test_base3_verdicts_agree_with_truncated_hulls():
             if v.outcome == QUASI_CONVEX:
                 for t in range(1, len(a) + 1):
                     prefix = a.prefix(t)
-                    L = points_L3(prefix, prefix.entries[-1] + 2)
+                    L = L3_truncate(prefix, prefix.entries[-1] + 2)
                     assert hull(L).is_quasi_convex()
             else:
                 recipe = v.witness_recipe
                 w = recipe.witness_point(a)          # 2 * 3^(a_n), within data
                 prefix = a.prefix(recipe.terms_needed)
-                L = points_L3(prefix, prefix.entries[-1] + 2)
+                L = L3_truncate(prefix, prefix.entries[-1] + 2)
                 rep = hull(L)
                 assert w % L.modulus in rep.hull.residues
                 assert w % L.modulus not in L.residues

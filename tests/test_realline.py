@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcgroups import realline
 from qcgroups.circle import RationalIntervalUnion
 from qcgroups.duality import ResidueSet, hull
 from qcgroups.errors import InvalidInputError
@@ -45,6 +47,22 @@ def test_polar_one_sixth_family():
         [(0, F(1, 4)), (F(23, 4), 6)])
     assert p.contains(6) and p.contains(F(1, 8))
     assert not p.contains(1) and not p.contains(2) and not p.contains(F(3, 2))
+
+
+@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(1, 4)),
+               min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_polar_matches_its_definition_densely(raw):
+    # endpoints of one period sit on multiples of D/(4*lcm(c)), c = D*|x|;
+    # probing at half that step hits every endpoint and every midpoint
+    base = RealFiniteSet(frozenset(F(p, q) for p, q in raw))
+    polar = polar_R(base)
+    D = base.common_denominator
+    step = F(D, 8 * lcm(*(int(abs(x) * D) for x in base.points if x)))
+    n = int(D / step)
+    for k in range(-n, n + 1):          # y across the two periods [-D, D]
+        y = k * step
+        assert polar.contains(y) == all(in_Tplus(y * x) for x in base.points), y
 
 
 def test_empty_set_rejected():
@@ -95,6 +113,20 @@ def test_hull_examples():
     quarter = S(0, F(1, 4), -F(1, 4))
     assert hull_R(quarter) == quarter.points
     assert hull_R(S(0)) == {F(0)}
+
+
+def test_hull_builds_one_polar(monkeypatch):
+    calls = []
+    real = realline.polar_R
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(realline, "polar_R", counting)
+    grew = S(0, F(1, 2), -F(1, 2), F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
+    assert hull_R(grew) == grew.points | {F(5, 16), F(-5, 16)}
+    assert calls == [grew]
 
 
 def test_hull_members_all_accepted_and_probes_rejected():

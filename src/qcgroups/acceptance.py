@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .circle import UnitRational, tm_interval
-from .duality import (QuotientBy, ResidueSet, check_two_x_equivalence,
+from .duality import (ResidueSet, check_two_x_equivalence,
                       char_polar_intervals, hull, hull_contains, hull_masks,
                       hull_residues, image_masks, in_t_plus, pushforward_check)
 from .errors import InvalidInputError
@@ -320,7 +320,7 @@ def criterion_10() -> CriterionResult:
             res = _grid_residue(UnitRational.from_fraction(wit), X.modulus)
             if res not in h.hull.residues or res in X.residues:
                 return _fail(ident, desc, f"witness {wit} missing from T-hull of {terms}", t0)
-            S = RealFiniteSet.from_iterable(pts)
+            S = RealFiniteSet(pts)
             if not member_hull_R(S, wit).inside or wit in S.points:
                 return _fail(ident, desc, f"witness {wit} missing from R-hull of {terms}", t0)
             cases += 1
@@ -366,7 +366,7 @@ def criterion_11() -> CriterionResult:
     # quotient Z(27) -> Z(9): genuinely all E of size <= 3
     for r in (1, 2, 3):
         for E in combinations(range(27), r):
-            if not pushforward_check(ResidueSet(27, E, "cyclic"), QuotientBy(3)):
+            if not pushforward_check(ResidueSet(27, E, "cyclic"), 3):
                 return _fail(ident, desc, f"quotient Z(27)->Z(9) failed for E={E}", t0)
             checked += 1
     # quotient Z(3^7) -> Z(3^4): family-shaped generator pool
@@ -374,7 +374,7 @@ def criterion_11() -> CriterionResult:
                   | {1, 2, 4, 5, 7, 13})
     for r in (1, 2, 3):
         for E in combinations(pool, r):
-            if not pushforward_check(ResidueSet(3 ** 7, E, "cyclic"), QuotientBy(27)):
+            if not pushforward_check(ResidueSet(3 ** 7, E, "cyclic"), 27):
                 return _fail(ident, desc, f"quotient Z(3^7)->Z(3^4) failed for E={E}", t0)
             checked += 1
     return _ok(ident, desc, f"{checked} (E, f) pairs", t0)

@@ -48,10 +48,6 @@ class UnitRational:
         f = Fraction(q)
         return cls(f.numerator, f.denominator)
 
-    def as_fraction(self) -> Fraction:
-        """Canonical representative as an exact rational in (-1/2, 1/2]."""
-        return Fraction(self.num, self.den)
-
     def norm(self) -> Fraction:
         """Distance from 0 in T; always in [0, 1/2]."""
         return Fraction(abs(self.num), self.den)
@@ -152,13 +148,6 @@ class RationalIntervalUnion:
     def contains(self, q: Fraction | int) -> bool:
         q = Fraction(q)
         return any(lo <= q <= hi for lo, hi in self.intervals)
-
-    def contains_mod1(self, q: Fraction | int) -> bool:
-        """Membership of a circle point; the window endpoints +-1/2 are identified."""
-        x = UnitRational.from_fraction(Fraction(q)).as_fraction()
-        if self.contains(x):
-            return True
-        return x == HALF and self.contains(-HALF)
 
     def union(self, other: "RationalIntervalUnion") -> "RationalIntervalUnion":
         return RationalIntervalUnion.from_pairs(self.intervals + other.intervals)

@@ -146,7 +146,7 @@ def cmd_hull_j3(args, cfg: RunConfig) -> int:
 
 
 def cmd_polar_r(args, cfg: RunConfig) -> int:
-    S = RealFiniteSet.from_iterable(_parse_rational_set(args.set))
+    S = RealFiniteSet(_parse_rational_set(args.set))
     P = polar_R(S)
     _emit(cfg, {"op": "polar-r", **P.as_json()},
           lambda: [f"period {render_rational(P.period)}: {P.one_period}"])
@@ -154,7 +154,7 @@ def cmd_polar_r(args, cfg: RunConfig) -> int:
 
 
 def cmd_hull_r(args, cfg: RunConfig) -> int:
-    S = RealFiniteSet.from_iterable(_parse_rational_set(args.set))
+    S = RealFiniteSet(_parse_rational_set(args.set))
     hull = hull_R(S)
     out = sorted(hull)
     _emit(cfg, {"op": "hull-r", "hull": [render_rational(z) for z in out],
@@ -164,7 +164,7 @@ def cmd_hull_r(args, cfg: RunConfig) -> int:
 
 
 def cmd_member_r(args, cfg: RunConfig) -> int:
-    S = RealFiniteSet.from_iterable(_parse_rational_set(args.set))
+    S = RealFiniteSet(_parse_rational_set(args.set))
     res = member_hull_R(S, parse_rational(args.target))
     _emit(cfg, {"op": "member-r", "target": args.target, **res.as_json()},
           lambda: [f"{args.target}: " + ("In" if res.inside
@@ -232,8 +232,11 @@ def cmd_certify(args, cfg: RunConfig) -> int:
     payload = cert.as_json()
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write certificate: {exc}") from exc
         print(f"wrote certificate to {args.out}", file=sys.stderr)
     else:
         print(text)

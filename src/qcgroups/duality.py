@@ -11,8 +11,9 @@ chi_k(x) = kx/n.
 
 So every finite set here is one ResidueSet: a modulus n and residues mod
 n, with a carrier ("grid" or "cyclic") that only decides how points are
-written and whether a quotient map applies.  polar(E) and hull(E) serve
-both carriers; the polar of either lies in the character group Z(n).
+written and whether the quotient check pushforward_check applies.
+polar(E) and hull(E) serve both carriers; the polar of either lies in
+the character group Z(n).
 
 The hot loops run on int64 numpy vectors; moduli are capped well below
 the overflow bound so every product is exact, and larger moduli are
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Literal, Union
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -182,7 +183,7 @@ class ResidueSet:
     """A finite set of residues mod n: a subset of Z(n), or of the grid (1/n)Z/Z.
 
     The carrier only decides how points are written ("p/q" on a grid, the
-    integer itself in Z(n)) and whether QuotientBy applies (Z(n) only).
+    integer itself in Z(n)) and whether pushforward_check applies (Z(n) only).
     """
 
     modulus: int
@@ -211,9 +212,6 @@ class ResidueSet:
             raise InvalidInputError(
                 f"grid modulus {modulus} does not hold denominators (need multiple of {need})")
         return cls(modulus, frozenset(v.num * (modulus // v.den) for v in vals), "grid")
-
-    def rationals(self) -> frozenset[UnitRational]:
-        return frozenset(UnitRational(r, self.modulus) for r in self.residues)
 
     def render(self, residues: Iterable[int]) -> list:
         """The given residues as written in output: "p/q" strings on a grid, ints in Z(n)."""
@@ -257,51 +255,21 @@ def hull(E: ResidueSet) -> HullReport:
     return HullReport(E, ResidueSet(E.modulus, hull_set, E.carrier), wit)
 
 
-def is_quasi_convex(E: ResidueSet) -> bool:
-    return hull(E).is_quasi_convex()
-
-
-@dataclass(frozen=True)
-class MultiplyBy:
-    """x -> k*x on a grid or on Z(n)."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class QuotientBy:
-    """Z(n) -> Z(n/d), x -> x mod n/d; requires d | n."""
-
-    d: int
-
-
-Hom = Union[MultiplyBy, QuotientBy]
-
-
-def pushforward_check(E: ResidueSet, f: Hom) -> bool:
-    """True iff f(hull(E)) is contained in hull(f(E)).
+def pushforward_check(E: ResidueSet, d: int) -> bool:
+    """True iff the quotient q: Z(n) -> Z(n/d) maps hull(E) into hull(q(E)).
 
     This inclusion is a theorem for continuous homomorphisms, so a False
     return flags an implementation bug rather than a mathematical fact.
     """
     n = E.modulus
-    if isinstance(f, MultiplyBy):
-        m = n
-        def image(x: int) -> int:
-            return f.k * x % n
-    elif isinstance(f, QuotientBy):
-        if E.carrier != "cyclic":
-            raise InvalidInputError("quotient map applies to cyclic carriers")
-        if f.d < 1 or n % f.d:
-            raise InvalidInputError(f"{f.d} does not divide the order {n}")
-        m = n // f.d
-        def image(x: int) -> int:
-            return x % m
-    else:
-        raise InvalidInputError(f"unknown homomorphism descriptor: {f!r}")
+    if E.carrier != "cyclic":
+        raise InvalidInputError("quotient map applies to cyclic carriers")
+    if d < 1 or n % d:
+        raise InvalidInputError(f"{d} does not divide the order {n}")
+    m = n // d
     src_hull, _ = hull_residues(n, E.residues)
-    dst_hull, _ = hull_residues(m, {image(p) for p in E.residues})
-    return all(image(h) in dst_hull for h in src_hull)
+    dst_hull, _ = hull_residues(m, {p % m for p in E.residues})
+    return all(h % m in dst_hull for h in src_hull)
 
 
 def trace_subgroup(n: int, x: int) -> ResidueSet:
@@ -322,10 +290,6 @@ class TwoXReport:
         return (self.hull_membership == self.quarter_not_in_trace
                 == self.half_not_in_trace2 == self.no_two_torsion)
 
-    def as_json(self) -> dict:
-        return {"i": self.hull_membership, "ii": self.quarter_not_in_trace,
-                "iii": self.half_not_in_trace2, "iv": self.no_two_torsion}
-
 
 def check_two_x_equivalence(n: int, x: int) -> TwoXReport:
     """Conditions (i)-(iv) for x in Z(n); (ii)-(iv) are read off residues r of r/n."""
@@ -338,26 +302,6 @@ def check_two_x_equivalence(n: int, x: int) -> TwoXReport:
     iii = not any(2 * r == n for r in tr_2x)                # r/n = 1/2
     iv = not any(r and 2 * r % n == 0 for r in tr_2x)       # r/n + r/n = 0
     return TwoXReport(i, ii, iii, iv)
-
-
-def unit_fraction_chain_check(b) -> bool:
-    """No sum 1/b_i + 1/b_j with i != j lands back in {1/b_n}.
-
-    Accepts any integer sequence or a families.DivisibleChain.
-    """
-    terms = list(getattr(b, "terms", b))
-    if not terms or terms[0] <= 1:
-        raise InvalidInputError("chain must start above 1")
-    for u, v in zip(terms, terms[1:]):
-        if v <= u or v % u:
-            raise InvalidInputError("chain must be increasing and divisible")
-    values = [Fraction(1, t) for t in terms]
-    member = set(values)
-    for i, vi in enumerate(values):
-        for j in range(i, len(values)):
-            if vi + values[j] in member and i != j:
-                return False
-    return True
 
 
 def char_polar_intervals(ks: Iterable[int]) -> RationalIntervalUnion:

@@ -264,30 +264,6 @@ def verdict_J3(a: GapSequence) -> Verdict:
     return Verdict(QUASI_CONVEX)
 
 
-def sufficiency_dikleo(a: GapSequence, which: Literal["T2", "R2", "J2"]) -> bool:
-    """The earlier sufficient conditions: gaps all > 1, plus a_0 > 0 (T2) / a_0 >= 0 (J2).
-
-    Strictly weaker than the verdicts: e.g. (1,2,5) fails this test for
-    T2 yet verdict_T2 accepts it.
-    """
-    all_big = all(g > 1 for g in a.gaps)
-    if which == "T2":
-        return a.entries[0] > 0 and all_big
-    if which == "R2":
-        return all_big
-    if which == "J2":
-        return a.entries[0] >= 0 and all_big
-    raise InvalidInputError(f"unknown sufficiency case {which!r}")
-
-
-def chain_from_family(a: GapSequence, p: int) -> DivisibleChain:
-    """b_n = p^(a_n+1); the ratios are p^(g_n)."""
-    if p not in (2, 3):
-        raise InvalidInputError("family chains use p = 2 or p = 3")
-    a.require_nonnegative()
-    return DivisibleChain(tuple(p ** (an + 1) for an in a.entries))
-
-
 @dataclass(frozen=True)
 class NecessityReportT:
     """Necessary conditions for {0} u {+-1/b_n} to be quasi-convex in T.

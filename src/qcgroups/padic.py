@@ -1,14 +1,15 @@
-"""Truncated 3-adic integers Z(3^M), Pruefer-dual characters and balanced digits.
+"""Truncated 3-adic integers Z(3^M), Pruefer-dual characters, J_m and Q1∩Q2.
 
 Everything happens in a finite quotient at an explicit level M; there is
 no infinite-precision p-adic arithmetic here.  Elements carry the
 canonical signed residue in (-3^M/2, 3^M/2] (3^M is odd, so that window
-is exactly the integers of absolute value <= (3^M - 1)/2), which is also
-the range represented by M balanced-ternary digits.
+is exactly the integers of absolute value <= (3^M - 1)/2).
 
 The character zeta_k sends 1 to 3^-(k+1); it factors through Z(3^M)
-precisely when k + 1 <= M.  On the circle side eta_k is multiplication
-by 3^k.  Both are evaluated exactly as UnitRationals.
+precisely when k + 1 <= M, and zeta_eval evaluates it exactly as a
+UnitRational.  On the circle side eta_k is multiplication by 3^k.
+compute_Jm and q12_set pair both kinds of character with the family
+points on integer residues.
 """
 
 from __future__ import annotations
@@ -83,83 +84,10 @@ def zeta_eval(m: int, k: int, x: int, level: int) -> UnitRational:
     return UnitRational(m * x, 3 ** (k + 1))
 
 
-def eta_eval(m: int, k: int, x: UnitRational) -> UnitRational:
-    """m * eta_k at x in T: exactly m * 3^k * x mod 1."""
-    if k < 0:
-        raise InvalidInputError("character index must be nonnegative")
-    return x * (m * 3 ** k)
-
-
 def level_for(a: GapSequence) -> int:
     """Smallest truncation level through which the witness characters factor."""
     a.require_nonnegative()
     return a.entries[-1] + 2
-
-
-@dataclass(frozen=True)
-class BalancedDigits:
-    """Digits in {-1, 0, 1}; positional meaning is fixed by the producer.
-
-    For Z(3^M) elements the tuple is (c_0, ..., c_{M-1}) with
-    x = sum c_i 3^i; for 3-power-denominator circle points it is
-    (c_1, ..., c_s) with y = sum c_i / 3^i.
-    """
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d not in (-1, 0, 1) for d in self.digits):
-            raise InvalidInputError("balanced digits must lie in {-1,0,1}")
-
-    def __str__(self) -> str:
-        return "".join({-1: "-", 0: "0", 1: "+"}[d] for d in self.digits)
-
-
-def balanced_digits(x: int, level: int) -> BalancedDigits:
-    """Unique balanced representation of x in Z(3^level), low digit first."""
-    v = canonical_residue(x, level)
-    out = []
-    for _ in range(level):
-        r = (v + 1) % 3 - 1
-        out.append(r)
-        v = (v - r) // 3
-    if v:
-        raise RuntimeError("signed residue not exhausted by `level` digits; implementation bug")
-    return BalancedDigits(tuple(out))
-
-
-def digits_to_residue(d: BalancedDigits) -> int:
-    return sum(c * 3 ** i for i, c in enumerate(d.digits))
-
-
-def balanced_digits_circle(y: UnitRational) -> BalancedDigits:
-    """Digits (c_1, ..., c_s) with y = sum c_i / 3^i; denominator must be 3^s."""
-    den, s = y.den, 0
-    while den % 3 == 0:
-        den //= 3
-        s += 1
-    if den != 1:
-        raise InvalidInputError(f"denominator {y.den} is not a power of 3")
-    if s == 0:
-        return BalancedDigits(())    # the only integer point of the window is 0
-    low_first = balanced_digits(y.num, s).digits
-    return BalancedDigits(tuple(reversed(low_first)))
-
-
-def digits_to_circle(d: BalancedDigits) -> UnitRational:
-    s = len(d.digits)
-    return UnitRational(sum(c * 3 ** (s - 1 - i) for i, c in enumerate(d.digits)), 3 ** s)
-
-
-def leading_digit_lemma_check(y: UnitRational) -> bool:
-    """(y in T_+ and 2y in T_+)  =>  first balanced digit of y is 0.
-
-    Property probe: must come back True for every 3-power-denominator y.
-    """
-    if not (y.in_Tm(1) and (y + y).in_Tm(1)):
-        return True
-    digits = balanced_digits_circle(y).digits
-    return not digits or digits[0] == 0
 
 
 def compute_Jm(a: GapSequence, m: int, k_max: int, side: Side,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 from .circle import HALF, RationalIntervalUnion, render_rational
 from .duality import ResidueSet, hull, polar_sweep
@@ -38,23 +38,15 @@ QUARTER = Fraction(1, 4)
 
 @dataclass(frozen=True)
 class RealFiniteSet:
-    """A finite set of exact rationals in R."""
+    """A finite set of exact rationals in R, built from any iterable of rationals."""
 
     points: frozenset[Fraction]
 
     def __post_init__(self) -> None:
-        if not self.points:
+        points = frozenset(Fraction(p) for p in self.points)
+        if not points:
             raise InvalidInputError("empty set")
-        object.__setattr__(self, "points",
-                           frozenset(Fraction(p) for p in self.points))
-
-    @classmethod
-    def of(cls, *points) -> "RealFiniteSet":
-        return cls(frozenset(Fraction(p) for p in points))
-
-    @classmethod
-    def from_iterable(cls, points: Iterable) -> "RealFiniteSet":
-        return cls(frozenset(Fraction(p) for p in points))
+        object.__setattr__(self, "points", points)
 
     @property
     def common_denominator(self) -> int:
@@ -65,10 +57,6 @@ class RealFiniteSet:
 
     def max_abs(self) -> Fraction:
         return max(abs(p) for p in self.points)
-
-    def as_json(self) -> list[str]:
-        return sorted((render_rational(p) for p in self.points),
-                      key=lambda s: Fraction(s))
 
 
 @dataclass(frozen=True)

@@ -275,53 +275,6 @@ def exclusion_J3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
         tail_bound=TailBound(start, Fraction(0)), negated=negated)
 
 
-DemoCase = Literal["h12-a", "h12-b", "h12-c", "two-x", "J-two-x"]
-
-
-def membership_demo(case: DemoCase, n: int, *, h: int | None = None,
-                    h1: int | None = None, h2: int | None = None,
-                    x: int | None = None, sign: int = 1) -> tuple[frozenset[int], int]:
-    """Generating set and target for the abstract membership facts in Z(n).
-
-    The caller checks target in hull(generators); degenerate parameters
-    (h = 0 and friends) are allowed and give trivially-included targets.
-    """
-    if n < 1:
-        raise InvalidInputError("carrier order must be positive")
-
-    def need(value, name):
-        if value is None:
-            raise InvalidInputError(f"case {case!r} needs parameter {name}")
-        return value % n
-
-    if case == "h12-a":
-        if sign not in (1, -1):
-            raise InvalidInputError("sign must be +1 or -1")
-        a1, a2 = need(h1, "h1"), need(h2, "h2")
-        gens = frozenset({a1, (2 * a1) % n, a2, (2 * a2) % n})
-        return gens, (a1 + sign * a2) % n
-    if case == "h12-b":
-        v = need(h, "h")
-        return frozenset({v, (3 * v) % n, (6 * v) % n}), (4 * v) % n
-    if case == "h12-c":
-        v = need(h, "h")
-        return frozenset({v, (4 * v) % n, (8 * v) % n}), (5 * v) % n
-    if case in ("two-x", "J-two-x"):
-        v = need(x, "x")
-        if case == "J-two-x":
-            # carrier must be a quotient of the p-adic integers, p odd
-            if n < 3 or n % 2 == 0:
-                raise InvalidInputError("J-two-x needs an odd prime-power carrier")
-            p = min(f for f in range(2, n + 1) if n % f == 0)
-            q = n
-            while q % p == 0:
-                q //= p
-            if q != 1:
-                raise InvalidInputError("J-two-x needs an odd prime-power carrier")
-        return frozenset({v, (3 * v) % n}), (2 * v) % n
-    raise InvalidInputError(f"unknown demo case {case!r}")
-
-
 def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None) -> bool:
     """Re-check a certificate from scratch; False on any mathematical mismatch.
 

@@ -1,0 +1,49 @@
+"""The public surface of the package, and rules its sources keep."""
+
+import ast
+import types
+from pathlib import Path
+
+import qcgroups
+
+PACKAGE = Path(qcgroups.__file__).resolve().parent
+SCRIPTS = PACKAGE.parent.parent / "scripts"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_all_is_an_explicit_list():
+    assigned = [node.value for node in _tree(PACKAGE / "__init__.py").body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    assert len(assigned) == 1
+    value = assigned[0]
+    assert isinstance(value, ast.List)
+    assert all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts)
+    assert [e.value for e in value.elts] == qcgroups.__all__
+    assert len(set(qcgroups.__all__)) == len(qcgroups.__all__)
+
+
+def test_exported_names_resolve_and_are_not_modules():
+    for name in qcgroups.__all__:
+        assert hasattr(qcgroups, name), name
+        assert not isinstance(getattr(qcgroups, name), types.ModuleType), name
+
+
+def test_every_exported_name_is_used():
+    # a name counts as used where library code or a script refers to it;
+    # its own def/class line and the package's re-export do not count
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted(SCRIPTS.glob("*.py"))
+    used = {node.id for path in sources for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Name)}
+    assert sorted(set(qcgroups.__all__) - used) == []
+
+
+def test_library_has_no_assert():
+    # checks must survive python -O, which strips assert statements
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -114,17 +114,6 @@ def test_interval_normalization_merges_touching():
         U((1, 0))
 
 
-def test_window_edges_identified():
-    left = U((F(-1, 2), F(-1, 4)))
-    assert left.contains_mod1(F(1, 2))
-    assert not left.contains_mod1(F(0))
-    # [1/4, 3/4] on the circle, stored wrapped into the window
-    wrapped = U((F(1, 4), F(1, 2)), (F(-1, 2), F(-1, 4)))
-    for q in (F(1, 4), F(1, 2), F(-3, 8), F(5, 8), F(3, 4)):
-        assert wrapped.contains_mod1(q)
-    assert not wrapped.contains_mod1(F(0))
-
-
 intervals_strategy = st.lists(
     st.tuples(st.integers(-24, 24), st.integers(0, 10)).map(
         lambda t: (F(t[0], 12), F(t[0], 12) + F(t[1], 12))),

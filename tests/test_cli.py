@@ -102,12 +102,17 @@ def test_certificate_round_trip(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
-def test_invalid_inputs_exit_2(capsys):
+def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "hull-zn", "--n", "0", "--set", "1")[0] == 2
     assert run(capsys, "hull-t", "--set", "abc")[0] == 2
     assert run(capsys, "hull-t", "--set", "")[0] == 2
     assert run(capsys, "certify", "--family", "T3", "--seq", "1,3",
                "--epsilon", "1,0")[0] == 2
+    # an unwritable --out: a missing directory, or a directory itself
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        code, _, err = run(capsys, "certify", "--family", "T3", "--seq", "1,3",
+                           "--epsilon", "1,1", "--out", str(out))
+        assert code == 2 and "cannot write certificate" in err
     assert run(capsys, "verify-cert", "--cert", "/nonexistent.json")[0] == 2
     assert run(capsys, "verify-paper", "--criteria", "criterion-03", "--jobs", "0")[0] == 2
 

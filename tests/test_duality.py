@@ -7,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcgroups.circle import UnitRational, tm_interval
-from qcgroups.duality import (MultiplyBy, QuotientBy, ResidueSet,
-                              char_polar_intervals, check_two_x_equivalence,
-                              hull, hull_contains, hull_masks, hull_residues,
-                              image_masks, in_t_plus, is_quasi_convex, polar,
-                              polar_residues, polar_sweep, pushforward_check,
-                              trace_subgroup, unit_fraction_chain_check)
+from qcgroups.duality import (ResidueSet, char_polar_intervals,
+                              check_two_x_equivalence, hull, hull_contains,
+                              hull_masks, hull_residues, image_masks, in_t_plus,
+                              polar, polar_residues, polar_sweep,
+                              pushforward_check, trace_subgroup)
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -29,7 +28,6 @@ def zn(n, *elements):
 def test_residue_set_validates_and_reduces():
     assert grid(8, 9, -1).residues == frozenset({1, 7})
     assert ResidueSet.from_rationals([F(1, 4), F(-1, 8)]) == grid(8, 2, 7)
-    assert grid(8, 2, 7).rationals() == {UnitRational(1, 4), UnitRational(-1, 8)}
     assert grid(8, 2, 7).render([7, 2]) == ["-1/8", "1/4"]
     assert zn(8, 2, 7).render([7, 2]) == [7, 2]
     for bad in (lambda: zn(0, 1), lambda: grid(-4, 1),
@@ -68,7 +66,7 @@ def test_polar_is_symmetric_and_contains_zero():
 def test_hull_examples_on_a_grid():
     rep = hull(grid(8, 1))
     assert rep.hull.residues == frozenset({0, 1, 7})
-    assert is_quasi_convex(grid(16, 0, 1, 15, 4, 12))
+    assert hull(grid(16, 0, 1, 15, 4, 12)).is_quasi_convex()
     rep27 = hull(grid(27, 0, 3, 24, 1, 26))
     assert 2 in rep27.hull.residues         # 2/27 contaminates the hull
     assert not rep27.is_quasi_convex()
@@ -84,8 +82,8 @@ def test_hull_examples_in_zn():
 
 def test_trivial_quasi_convex_sets():
     for n in (1, 5, 16):
-        assert is_quasi_convex(grid(n, 0))
-    assert is_quasi_convex(zn(7, 0))
+        assert hull(grid(n, 0)).is_quasi_convex()
+    assert hull(zn(7, 0)).is_quasi_convex()
 
 
 def test_witnesses_reverify():
@@ -171,12 +169,11 @@ def test_kernel_rejects_bad_moduli():
 
 
 def test_pushforward_examples():
-    assert pushforward_check(grid(32, 0, 1, 31, 4, 28), MultiplyBy(8))
-    assert pushforward_check(zn(27, 1, 3), QuotientBy(3))
+    assert pushforward_check(zn(27, 1, 3), 3)
     with pytest.raises(InvalidInputError):
-        pushforward_check(grid(8, 1), QuotientBy(2))
+        pushforward_check(grid(8, 1), 2)
     with pytest.raises(InvalidInputError):
-        pushforward_check(zn(27, 1), QuotientBy(5))
+        pushforward_check(zn(27, 1), 5)
 
 
 def test_pushforward_small_exhaustive():
@@ -184,23 +181,18 @@ def test_pushforward_small_exhaustive():
         universe = list(range(n))
         for size in (1, 2):
             for E in combinations(universe, size):
-                S = zn(n, *E)
-                for k in range(n):
-                    assert pushforward_check(S, MultiplyBy(k))
                 for d in (2, 3):
                     if n % d == 0:
-                        assert pushforward_check(S, QuotientBy(d))
+                        assert pushforward_check(zn(n, *E), d)
 
 
 # ------------------------------------------------------------------ traces
 
 
 def test_trace_subgroup_examples():
-    quarter_orbit = {UnitRational(0), UnitRational(1, 4),
-                     UnitRational(1, 2), UnitRational(-1, 4)}
-    assert trace_subgroup(4, 1).rationals() == quarter_orbit
-    assert trace_subgroup(12, 3).rationals() == quarter_orbit
-    assert len(trace_subgroup(9, 2).rationals()) == 9
+    assert trace_subgroup(4, 1).residues == {0, 1, 2, 3}       # 0, +-1/4, 1/2
+    assert trace_subgroup(12, 3).residues == {0, 3, 6, 9}
+    assert len(trace_subgroup(9, 2).residues) == 9
 
 
 def test_two_x_equivalence_examples():
@@ -226,33 +218,6 @@ def test_two_x_equivalence_small_sweep():
             assert rep.half_not_in_trace2 == (half not in tr_2x)
             assert rep.no_two_torsion == (
                 not any(t.num != 0 and (t + t).num == 0 for t in tr_2x))
-
-
-# ------------------------------------------------------------------ chains
-
-
-def test_unit_fraction_chain_examples():
-    from qcgroups.families import DivisibleChain
-    assert unit_fraction_chain_check([4, 8, 32])
-    assert unit_fraction_chain_check([2, 4])
-    assert unit_fraction_chain_check(DivisibleChain((2, 4)))
-    with pytest.raises(InvalidInputError):
-        unit_fraction_chain_check([4, 6])
-    with pytest.raises(InvalidInputError):
-        unit_fraction_chain_check([1, 2])
-
-
-def test_unit_fraction_chain_exhaustive():
-    chains = []
-    for b0 in range(2, 65):
-        for q1 in range(2, 512 // b0 + 1):
-            b1 = b0 * q1
-            for q2 in range(2, 512 // b1 + 1):
-                b2 = b1 * q2
-                for q3 in range(2, 512 // b2 + 1):
-                    chains.append([b0, b1, b2, b2 * q3])
-    assert chains
-    assert all(unit_fraction_chain_check(c) for c in chains)
 
 
 # ---------------------------------------------------------- interval polars
@@ -287,4 +252,4 @@ def test_char_polar_matches_pointwise(ks):
     for j in range(-30, 31):
         x = UnitRational(j, 60)
         expected = all((k * x).in_Tm(1) for k in ks)
-        assert region.contains_mod1(F(j, 60)) == expected
+        assert region.contains(F(j, 60)) == expected

@@ -7,11 +7,10 @@ from qcgroups.circle import UnitRational
 from qcgroups.duality import hull
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import (DivisibleChain, GapSequence, NOT_QUASI_CONVEX,
-                               QUASI_CONVEX, chain_from_family,
-                               necessary_report_R, necessary_report_T,
-                               points_K2, points_K3, points_R2,
-                               sufficiency_dikleo, verdict_J3, verdict_R2,
-                               verdict_T2, verdict_T3)
+                               QUASI_CONVEX, necessary_report_R,
+                               necessary_report_T, points_K2, points_K3,
+                               points_R2, verdict_J3, verdict_R2, verdict_T2,
+                               verdict_T3)
 from qcgroups.padic import L3_truncate
 
 GS = GapSequence.of
@@ -112,12 +111,12 @@ def test_verdict_json():
 
 
 # ------------------------------------------------------------- sufficiency
+# The earlier sufficient condition of Dikranjan and de Leo: every gap
+# above 1, plus a_0 > 0 on the circle.  The verdicts are strictly weaker.
 
 
 def test_sufficiency_examples():
-    assert sufficiency_dikleo(GS(1, 3, 5), "T2")
-    assert sufficiency_dikleo(GS(0, 2, 4), "J2")
-    assert not sufficiency_dikleo(GS(1, 2, 5), "T2")
+    # a unit gap, so outside the earlier condition, yet quasi-convex
     assert verdict_T2(GS(1, 2, 5)).outcome == QUASI_CONVEX
 
 
@@ -125,24 +124,14 @@ def test_sufficiency_implies_verdict():
     seqs = [GapSequence(c) for r in range(1, 7)
             for c in combinations(range(13), r)]
     for a in seqs:
-        if sufficiency_dikleo(a, "T2"):
-            assert verdict_T2(a).outcome == QUASI_CONVEX
-        if sufficiency_dikleo(a, "R2"):
+        if all(g > 1 for g in a.gaps):
             assert verdict_R2(a).outcome == QUASI_CONVEX
-        if sufficiency_dikleo(a, "J2"):
-            assert verdict_J3(a).outcome == QUASI_CONVEX  # same gap condition
+            assert verdict_J3(a).outcome == QUASI_CONVEX
+            if a.entries[0] > 0:
+                assert verdict_T2(a).outcome == QUASI_CONVEX
 
 
 # ------------------------------------------------------------------ chains
-
-
-def test_chain_from_family_examples():
-    assert chain_from_family(GS(1, 2, 5), 2).terms == (4, 8, 64)
-    assert chain_from_family(GS(1, 2, 5), 2).ratios == (2, 8)
-    assert chain_from_family(GS(1, 3), 3).terms == (9, 81)
-    assert chain_from_family(GS(0, 1), 2).terms == (2, 4)
-    with pytest.raises(InvalidInputError):
-        chain_from_family(GS(1, 2), 5)
 
 
 def test_necessity_report_T():
@@ -164,13 +153,17 @@ def test_necessity_report_R():
 def test_verdict_consistent_with_necessity():
     seqs = [GapSequence(c) for r in range(1, 5)
             for c in combinations(range(10), r)]
+
+    def chain(a, p):
+        return DivisibleChain(tuple(p ** (an + 1) for an in a.entries))
+
     for a in seqs:
         if verdict_T3(a).outcome == QUASI_CONVEX:
-            assert necessary_report_T(chain_from_family(a, 3)).all_pass
+            assert necessary_report_T(chain(a, 3)).all_pass
         if verdict_T2(a).outcome == QUASI_CONVEX:
-            assert necessary_report_T(chain_from_family(a, 2)).all_pass
+            assert necessary_report_T(chain(a, 2)).all_pass
         if verdict_R2(a).outcome == QUASI_CONVEX:
-            assert necessary_report_R(chain_from_family(a, 2)).all_pass
+            assert necessary_report_R(chain(a, 2)).all_pass
 
 
 # ------------------------------------------------------------------ points
@@ -179,9 +172,7 @@ def test_verdict_consistent_with_necessity():
 def test_family_points():
     E = points_K3(GS(1, 3))
     assert E.modulus == 81
-    assert E.rationals() == {UnitRational(0), UnitRational(1, 9),
-                             UnitRational(-1, 9), UnitRational(1, 81),
-                             UnitRational(-1, 81)}
+    assert E.residues == {0, 9, 72, 1, 80}       # 0, +-1/9, +-1/81
     assert points_K2(GS(1)).residues == {0, 1, 3}
     assert L3_truncate(GS(0, 2), 4).residues == {0, 1, 9, 72, 80}
     assert points_R2(GS(0, 2, 4)) == {F(0), F(1, 2), F(-1, 2), F(1, 8),

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from qcgroups.circle import UnitRational
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence
-from qcgroups.padic import (BalancedDigits, PadicTruncGroup, PruferChar,
-                            balanced_digits, balanced_digits_circle,
-                            canonical_residue, compute_Jm, digits_to_circle,
-                            digits_to_residue, epsilon_forms, eta_eval,
-                            L3_truncate, leading_digit_lemma_check, level_for,
+from qcgroups.padic import (PadicTruncGroup, PruferChar, canonical_residue,
+                            compute_Jm, epsilon_forms, L3_truncate, level_for,
                             q12_set, zeta_eval)
 
 GS = GapSequence.of
@@ -40,12 +37,6 @@ def test_zeta_examples():
     assert v == UnitRational(2, 3) and not v.in_Tm(1)
     with pytest.raises(InvalidInputError):
         zeta_eval(1, 4, 1, 4)
-
-
-def test_eta_examples():
-    assert eta_eval(1, 2, UnitRational(1, 9)) == UnitRational(0)
-    assert eta_eval(11, 0, UnitRational(10, 81)) == UnitRational(29, 81)
-    assert eta_eval(1, 1, UnitRational(1, 27)) == UnitRational(1, 9)
 
 
 @given(st.integers(-10, 10), st.integers(0, 5),
@@ -92,48 +83,6 @@ def test_Jm_complement_property():
         for side in ("T", "J"):
             assert compute_Jm(a, 1, k_max, side) == expected
             assert compute_Jm(a, 2, k_max, side) == expected
-
-
-# ----------------------------------------------------------------- digits
-
-
-def test_balanced_digit_examples():
-    assert balanced_digits(4, 3).digits == (1, 1, 0)
-    assert balanced_digits(2, 3).digits == (-1, 1, 0)
-    assert balanced_digits_circle(UnitRational(2, 9)).digits == (1, -1)
-    assert str(balanced_digits(2, 3)) == "-+0"
-
-
-def test_balanced_digit_round_trip_and_uniqueness():
-    level = 5
-    seen = {}
-    for x in range(3 ** level):
-        d = balanced_digits(x, level)
-        assert len(d.digits) == level
-        assert digits_to_residue(d) % 3 ** level == x
-        assert d.digits not in seen
-        seen[d.digits] = x
-
-
-def test_circle_digits_round_trip():
-    s = 5
-    for j in range(3 ** s):
-        y = UnitRational(j, 3 ** s)
-        assert digits_to_circle(balanced_digits_circle(y)) == y
-
-
-def test_circle_digits_rejects_non_power_of_three():
-    with pytest.raises(InvalidInputError):
-        balanced_digits_circle(UnitRational(1, 6))
-    with pytest.raises(InvalidInputError):
-        BalancedDigits((0, 2))
-
-
-def test_leading_digit_lemma():
-    assert leading_digit_lemma_check(UnitRational(1, 9))
-    assert leading_digit_lemma_check(UnitRational(1, 3))
-    assert all(leading_digit_lemma_check(UnitRational(j, 3 ** 8))
-               for j in range(3 ** 8))
 
 
 # ------------------------------------------------------------ epsilon / Q12

@@ -14,7 +14,7 @@ from qcgroups.realline import (RealFiniteSet, hull_R, member_hull_R,
                                polar_R, scale_into_half)
 
 F = Fraction
-S = RealFiniteSet.of
+S = lambda *p: RealFiniteSet(p)
 
 
 def in_Tplus(q: Fraction) -> bool:

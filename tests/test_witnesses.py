@@ -10,7 +10,7 @@ from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence, points_K3
 from qcgroups.padic import L3_truncate, PruferChar, level_for
 from qcgroups.witnesses import (TailBound, certificate_from_json,
-                                exclusion_J3, exclusion_T3, membership_demo,
+                                exclusion_J3, exclusion_T3,
                                 shift_char_J3, shift_char_T3, tail_bound_T3,
                                 verify_certificate)
 
@@ -146,7 +146,7 @@ def test_exclusion_J3_examples():
     c = exclusion_J3(GS(1, 4), [1, 1])
     assert c.character == PruferChar(29, 5)
     assert c.evaluation == UnitRational(83, 243)
-    assert c.evaluation.as_fraction() == F(1, 3) + F(2, 243)
+    assert F(c.evaluation.num, c.evaluation.den) == F(1, 3) + F(2, 243)
 
 
 def test_exclusion_validation():
@@ -235,40 +235,18 @@ def test_certificate_json_round_trip():
 
 
 def test_membership_demos():
-    gens, target = membership_demo("h12-b", 24, h=1)
-    assert (gens, target) == (frozenset({1, 3, 6}), 4)
-    assert hull_contains(24, gens, target)
-
-    gens, target = membership_demo("h12-c", 64, h=1)
-    assert (gens, target) == (frozenset({1, 4, 8}), 5)
-    assert hull_contains(64, gens, target)
-
-    gens, target = membership_demo("J-two-x", 3 ** 5, x=1)
-    assert (gens, target) == (frozenset({1, 3}), 2)
-    assert hull_contains(3 ** 5, gens, target)
-
-    gens, target = membership_demo("h12-a", 40, h1=3, h2=5, sign=-1)
-    assert target == (3 - 5) % 40
-    assert hull_contains(40, gens, target)
-
-    gens, target = membership_demo("two-x", 9, x=0)
-    assert target == 0 and hull_contains(9, gens, target)
-
-
-def test_membership_demo_validation():
-    with pytest.raises(InvalidInputError):
-        membership_demo("h12-b", 24)                 # missing h
-    with pytest.raises(InvalidInputError):
-        membership_demo("J-two-x", 12, x=1)          # 12 is not an odd prime power
-    with pytest.raises(InvalidInputError):
-        membership_demo("h12-a", 24, h1=1, h2=2, sign=3)
-    with pytest.raises(InvalidInputError):
-        membership_demo("unknown", 24, h=1)
+    # h12-b: {h, 3h, 6h} gives 4h; h12-c: {h, 4h, 8h} gives 5h
+    assert hull_contains(24, {1, 3, 6}, 4)
+    assert hull_contains(64, {1, 4, 8}, 5)
+    # two-x in the 3-adic quotient Z(3^5): {x, 3x} gives 2x
+    assert hull_contains(3 ** 5, {1, 3}, 2)
+    # h12-a: {h1, 2h1, h2, 2h2} gives h1 - h2
+    assert hull_contains(40, {3, 6, 5, 10}, (3 - 5) % 40)
+    # x = 0: every set holds 0
+    assert hull_contains(9, {0}, 0)
 
 
 def test_demo_targets_in_hulls_across_carriers():
     for n in range(1, 101):
-        gens, target = membership_demo("h12-b", n, h=1)
-        assert hull_contains(n, gens, target)
-        gens, target = membership_demo("h12-c", n, h=1)
-        assert hull_contains(n, gens, target)
+        assert hull_contains(n, {1, 3, 6}, 4)
+        assert hull_contains(n, {1, 4, 8}, 5)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import acceptance
 from .circle import parse_rational, render_rational
 from .duality import ResidueSet, hull, polar
-from .errors import InvalidInputError
+from .errors import InvalidInputError, describe_int
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, verdict_J3, verdict_R2, verdict_T2,
                        verdict_T3)
@@ -57,14 +57,18 @@ class RunConfig:
     def check_grid(self, modulus: int) -> None:
         if modulus > self.max_grid:
             raise InvalidInputError(
-                f"grid modulus {modulus} exceeds the safety bound {self.max_grid} "
-                "(set QCG_MAX_GRID to raise it)")
+                f"grid modulus {describe_int(modulus)} exceeds the safety bound "
+                f"{describe_int(self.max_grid)} (set QCG_MAX_GRID to raise it)")
 
-    def check_cyclic(self, order: int) -> None:
+    def check_cyclic(self, order: int, name: str | None = None) -> None:
         if order > self.max_cyclic:
             raise InvalidInputError(
-                f"group order {order} exceeds the safety bound {self.max_cyclic} "
-                "(set QCG_MAX_GRID to raise it)")
+                f"group order {name or describe_int(order)} exceeds the safety bound "
+                f"{describe_int(self.max_cyclic)} (set QCG_MAX_GRID to raise it)")
+
+    def check_power_of_3(self, exponent: int) -> None:
+        # 3^e > max_cyclic once e reaches its bit length, so 3^e stays small
+        self.check_cyclic(3 ** min(exponent, self.max_cyclic.bit_length()), f"3^{exponent}")
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
@@ -131,7 +135,7 @@ def cmd_hull_zn(args, cfg: RunConfig) -> int:
 
 def cmd_hull_j3(args, cfg: RunConfig) -> int:
     group = PadicTruncGroup(args.level)
-    cfg.check_cyclic(group.order)
+    cfg.check_power_of_3(args.level)
     E = ResidueSet(group.order, _parse_int_set(args.set), "cyclic")
     rep = hull(E)
     canon = sorted(group.canonical(e) for e in rep.hull.residues)
@@ -165,10 +169,12 @@ def cmd_hull_r(args, cfg: RunConfig) -> int:
 
 def cmd_member_r(args, cfg: RunConfig) -> int:
     S = RealFiniteSet(_parse_rational_set(args.set))
-    res = member_hull_R(S, parse_rational(args.target))
-    _emit(cfg, {"op": "member-r", "target": args.target, **res.as_json()},
-          lambda: [f"{args.target}: " + ("In" if res.inside
-                                         else f"Out (witness {render_rational(res.witness)})")])
+    z = parse_rational(args.target)
+    res = member_hull_R(S, z)
+    target = render_rational(z)
+    _emit(cfg, {"op": "member-r", "target": target, **res.as_json()},
+          lambda: [f"{target}: " + ("In" if res.inside
+                                    else f"Out (witness {render_rational(res.witness)})")])
     return 0
 
 
@@ -194,7 +200,13 @@ def cmd_family_verdict(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _reject_other_family_flag(args, flag: str, family: str) -> None:
+    if args.family != family and getattr(args, flag) is not None:
+        raise InvalidInputError(f"--{flag} belongs to --family {family}, not {args.family}")
+
+
 def cmd_jm(args, cfg: RunConfig) -> int:
+    _reject_other_family_flag(args, "level", "J3")
     a = GapSequence.from_text(args.seq)
     side = "T" if args.family == "T3" else "J"
     out = compute_Jm(a, args.m, args.kmax, side, args.level)
@@ -205,12 +217,14 @@ def cmd_jm(args, cfg: RunConfig) -> int:
 
 
 def cmd_q12(args, cfg: RunConfig) -> int:
+    _reject_other_family_flag(args, "grid", "T3")
+    _reject_other_family_flag(args, "level", "J3")
     a = GapSequence.from_text(args.seq)
     side = "T" if args.family == "T3" else "J"
     exponent = args.grid if side == "T" else args.level
     if exponent is None:
         exponent = a.entries[-1] + 1 if side == "T" else level_for(a)
-    cfg.check_cyclic(3 ** exponent)
+    cfg.check_power_of_3(exponent)
     q12 = q12_set(a, side, exponent)
     eps = epsilon_forms(a, side, exponent)
 
@@ -251,6 +265,8 @@ def cmd_verify_cert(args, cfg: RunConfig) -> int:
         raise InvalidInputError(f"cannot read certificate: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"certificate is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError("certificate JSON is nested too deeply") from exc
     cert = certificate_from_json(data)
     valid = verify_certificate(cert, args.truncation)
     _emit(cfg, {"op": "verify-cert", "valid": valid},

@@ -36,7 +36,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .circle import HALF, RationalIntervalUnion, UnitRational, intersect_pairs
-from .errors import InvalidInputError
+from .errors import InvalidInputError, describe_int
 
 # products k*j with k, j < n must fit in int64
 _NUMPY_SAFE_MODULUS = 3_000_000_000
@@ -78,7 +78,7 @@ def polar_sweep(cs: Iterable[int], lo: Fraction, hi: Fraction,
 
 def _checked_modulus(n: int, limit: int = _NUMPY_SAFE_MODULUS) -> None:
     if not 1 <= n <= limit:
-        raise InvalidInputError(f"modulus {n} must lie in 1..{limit}")
+        raise InvalidInputError(f"modulus {describe_int(n)} must lie in 1..{limit}")
 
 
 def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:
@@ -210,7 +210,8 @@ class ResidueSet:
             modulus = need
         elif modulus % need:
             raise InvalidInputError(
-                f"grid modulus {modulus} does not hold denominators (need multiple of {need})")
+                f"grid modulus {describe_int(modulus)} does not hold denominators "
+                f"(need multiple of {describe_int(need)})")
         return cls(modulus, frozenset(v.num * (modulus // v.den) for v in vals), "grid")
 
     def render(self, residues: Iterable[int]) -> list:

@@ -8,3 +8,8 @@ class InvalidInputError(ValueError):
     (a verified property that does not hold) is reported separately and
     maps to exit status 1.
     """
+
+
+def describe_int(n: int) -> str:
+    """n in decimal, or its bit length when the digits would flood a message."""
+    return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"

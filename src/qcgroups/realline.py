@@ -7,11 +7,11 @@ every yx by an integer.  One period is stored exactly.  With y = D*t it
 is D times the circle polar of the integer characters c = D*|x| on the
 window t in [0, 1], so polar_R is duality.polar_sweep on that window.
 
-Hull membership is decidable: for z = u/v the shifts k*D*z mod 1 take
-finitely many values (multiples of gcd(D*u, v)/v), so z is in the hull
-iff z * (one period) + s stays inside T_+ mod 1 for each of those
-finitely many shift values s.  Each check is closed-interval arithmetic
-with exact rational endpoints; PeriodicPolar.member runs it.
+Hull membership is decidable: the shifts k*D*z mod 1 are the multiples
+j/N, N = denominator(D*z), so z is in the hull iff z * (one period) + j/N
+stays inside T_+ mod 1 for every j.  For one interval image [a, b] the
+good shifts form a single arc, so PeriodicPolar.member finds its first
+bad j in closed form: one pass per polar interval, whatever N is.
 
 The full hull is recovered through the circle: scale S into (-1/2, 1/2)
 by a power of two, push down to a grid in T, take the grid hull there,
@@ -77,32 +77,23 @@ class PeriodicPolar:
     def member(self, z: Fraction) -> HullMembership:
         """z in the hull of any set with this polar, with a re-verified witness on Out."""
         D = self.period
-        dz = D * z
-        shift_den = dz.denominator          # kD z mod 1 hits j/shift_den, all j
-        num_mod = dz.numerator % shift_den
-        for j in range(shift_den):
-            s = Fraction(j, shift_den)
-            if shift_den == 1:
-                k_j = 0
-            else:
-                k_j = (j * pow(num_mod, -1, shift_den)) % shift_den
-            for lo, hi in self.one_period.intervals:
-                if z > 0:
-                    A, B = z * lo + s, z * hi + s
-                else:
-                    A, B = z * hi + s, z * lo + s
-                if _interval_in_Tplus_mod1(A, B):
-                    continue
-                w_img = _bad_point_in(A, B)
-                y = (w_img - s) / z + k_j * D
-                # re-verify before reporting
-                if not self.contains(y):
-                    raise RuntimeError("witness fell outside the polar; implementation bug")
-                prod = y * z
-                if _interval_in_Tplus_mod1(prod, prod):
-                    raise RuntimeError("witness does not exclude; implementation bug")
-                return HullMembership(False, y)
-        return HullMembership(True)
+        n = (D * z).denominator             # kDz mod 1 hits j/n, all j
+        images = [sorted((z * lo, z * hi)) for lo, hi in self.one_period.intervals]
+        bad = [(j, i) for i, (a, b) in enumerate(images)
+               if (j := _first_bad_shift(a, b, n)) is not None]
+        if not bad:
+            return HullMembership(True)
+        j, i = min(bad)                     # smallest j, ties to the lower interval
+        a, b = images[i]
+        s = Fraction(j, n)
+        k_j = j * pow((D * z).numerator, -1, n) % n  # k_j D z = s mod 1
+        y = (_bad_point_in(a + s, b + s) - s) / z + k_j * D
+        # re-verify before reporting
+        if not self.contains(y):
+            raise RuntimeError("witness fell outside the polar; implementation bug")
+        if _first_bad_shift(y * z, y * z, 1) is None:
+            raise RuntimeError("witness does not exclude; implementation bug")
+        return HullMembership(False, y)
 
     def as_json(self) -> dict:
         return {"period": render_rational(self.period),
@@ -133,12 +124,21 @@ def polar_R(S: RealFiniteSet) -> PeriodicPolar:
                          polar_sweep({(x * D).numerator for x in nonzero}, 0, 1, scale=D))
 
 
-def _interval_in_Tplus_mod1(A: Fraction, B: Fraction) -> bool:
-    """Whole closed [A, B] inside T_+ + Z (requires B - A <= 1/2 to be possible)."""
-    if B - A > HALF:
-        return False
-    t = (A + QUARTER).numerator // (A + QUARTER).denominator  # floor(A + 1/4)
-    return A - t >= -QUARTER and B - t <= QUARTER
+def _first_bad_shift(a: Fraction, b: Fraction, n: int) -> Optional[int]:
+    """Smallest j in [0, n) with [a, b] + j/n not inside T_+ + Z, or None.
+
+    The good shifts form the arc [g0, g1] + Z of length 1/2 - (b - a).
+    With g0 <= 0 <= g1 < 1, the first shift past g1 is bad unless it is
+    in the next copy [g0 + 1, g1 + 1], which then holds every j/n < 1.
+    """
+    if b - a > HALF:
+        return 0
+    g1 = (QUARTER - b) % 1
+    g0 = g1 - (HALF - (b - a))
+    if g0 > 0:
+        return 0
+    j1 = g1 * n // 1 + 1
+    return j1 if j1 < n and Fraction(j1, n) < g0 + 1 else None
 
 
 def _bad_point_in(A: Fraction, B: Fraction) -> Fraction:

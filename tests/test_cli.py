@@ -65,6 +65,11 @@ def test_member_r(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["membership"] == "Out" and "witness" in data
+    # the target is echoed in canonical form, in JSON and in text
+    code, out, _ = run(capsys, "member-r", "--set", "1/4", "--target", "0.5")
+    assert code == 0 and json.loads(out)["target"] == "1/2"
+    code, out, _ = run(capsys, "member-r", "--set", "1/4", "--target", "0.5", "--text")
+    assert code == 0 and out == "1/2: Out (witness 3/4)\n"
 
 
 def test_hull_j3_signed_residues(capsys):
@@ -115,6 +120,29 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         assert code == 2 and "cannot write certificate" in err
     assert run(capsys, "verify-cert", "--cert", "/nonexistent.json")[0] == 2
     assert run(capsys, "verify-paper", "--criteria", "criterion-03", "--jobs", "0")[0] == 2
+    # oversized integers: 3^level is never built past the bound, and huge
+    # moduli are named by bit length (int-to-str refuses over 4300 digits)
+    primes = [p for p in range(10 ** 4, 3 * 10 ** 4) if all(p % d for d in range(2, 174))]
+    primes = ",".join(f"1/{p}" for p in primes[:1200])
+    for argv in (["hull-j3", "--level", "3000000", "--set", "1"],
+                 ["q12", "--family", "J3", "--seq", "0,2", "--level", "3000000"],
+                 ["hull-j3", "--level", "1500", "--set", "1"],
+                 ["hull-t", "--set", primes],
+                 ["hull-t", "--grid", "7", "--set", primes]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[:2]
+        assert err.startswith("error: ") and len(err) < 200, err[:200]
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "verify-cert", "--cert", str(path))
+    assert code == 2 and "nested too deeply" in err
+    # a flag of the other family is rejected, not ignored
+    for argv, flag in ((["q12", "--family", "T3", "--seq", "1,3", "--level", "9"], "--level"),
+                       (["q12", "--family", "J3", "--seq", "0,2", "--grid", "9"], "--grid"),
+                       (["jm", "--family", "T3", "--seq", "1,3", "--m", "1", "--kmax", "5",
+                         "--level", "3"], "--level")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"{flag} belongs to --family" in err
 
 
 def test_jobs_belongs_to_verify_paper_only(capsys):
@@ -152,6 +180,11 @@ GOLDEN = [
      "f4a9a2080b8f8eada6ea652dc50fd9a43428001f001345b1219bfe9853dcf220"),
     (["member-r", "--set", "1/4", "--target", "1/2"],                # Out, witness 3/4
      "e10d538074079020c63151325a1c265dae2d122c902c387cc0f47da18b8189d0"),
+    # targets with large denominators: one closed-form pass per polar interval
+    (["member-r", "--set", "1/3", "--target", "1/1000003"],
+     "a349172271b655e0cac768a5fe369a76be53d5223582c1c4a2ec94cf6c41892c"),
+    (["member-r", "--set", "1/3,1/7", "--target", "5/10000019"],
+     "3928290e026d5a74161e09204fca9923a19d342a29f006b54d07f4ed9ff30c3e"),
 ]
 
 

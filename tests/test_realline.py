@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgroups import realline
-from qcgroups.circle import RationalIntervalUnion
+from qcgroups.circle import HALF, RationalIntervalUnion
 from qcgroups.duality import ResidueSet, hull
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence, points_R2
-from qcgroups.realline import (RealFiniteSet, hull_R, member_hull_R,
-                               polar_R, scale_into_half)
+from qcgroups.realline import (QUARTER, HullMembership, RealFiniteSet,
+                               _bad_point_in, _first_bad_shift, hull_R,
+                               member_hull_R, polar_R, scale_into_half)
 
 F = Fraction
 S = lambda *p: RealFiniteSet(p)
@@ -96,6 +98,66 @@ def test_member_respects_interval_bound():
     base = S(0, 1, -1, F(1, 2), -F(1, 2))
     for z in (F(3, 2), F(9, 8), F(-2)):
         assert not member_hull_R(base, z).inside
+
+
+def _interval_in_Tplus_mod1(A: Fraction, B: Fraction) -> bool:
+    """Whole closed [A, B] inside T_+ + Z (requires B - A <= 1/2 to be possible)."""
+    if B - A > HALF:
+        return False
+    t = (A + QUARTER).numerator // (A + QUARTER).denominator  # floor(A + 1/4)
+    return A - t >= -QUARTER and B - t <= QUARTER
+
+
+def shift_loop_member(polar, z):
+    """Reference membership: scan every shift j/shift_den; also returns the bad j."""
+    D = polar.period
+    dz = D * z
+    shift_den = dz.denominator          # kD z mod 1 hits j/shift_den, all j
+    num_mod = dz.numerator % shift_den
+    for j in range(shift_den):
+        s = Fraction(j, shift_den)
+        if shift_den == 1:
+            k_j = 0
+        else:
+            k_j = (j * pow(num_mod, -1, shift_den)) % shift_den
+        for lo, hi in polar.one_period.intervals:
+            if z > 0:
+                A, B = z * lo + s, z * hi + s
+            else:
+                A, B = z * hi + s, z * lo + s
+            if _interval_in_Tplus_mod1(A, B):
+                continue
+            w_img = _bad_point_in(A, B)
+            y = (w_img - s) / z + k_j * D
+            return HullMembership(False, y), j
+    return HullMembership(True), None
+
+
+def test_member_matches_the_shift_loop_densely():
+    values = [F(1, 2), F(1, 3), F(1, 4), F(2, 3), F(3, 4), F(1, 6), F(5, 8), F(1), F(3, 2)]
+    sets = [c for size in (1, 2) for c in combinations(values, size)]
+    targets = [F(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1) if p]
+    shifted = 0
+    for points in sets:
+        polar = polar_R(RealFiniteSet(points))
+        for z in targets:
+            expected, j = shift_loop_member(polar, z)
+            assert polar.member(z) == expected, (points, z)
+            shifted += bool(j)
+    assert len(sets) * len(targets) == 14040
+    assert shifted == 156       # witnesses from a nonzero shift keep the second branch tested
+
+
+def test_first_bad_shift_matches_every_shift():
+    # the second-copy clause only decides n = 2 with a point image on 1/4 + Z,
+    # which no polar_R polar produces, so it is checked here directly
+    grid = [F(k, 8) for k in range(-12, 13)]
+    for a in grid:
+        for b in (b for b in grid if b >= a):
+            for n in range(1, 9):
+                bad = [j for j in range(n)
+                       if not _interval_in_Tplus_mod1(a + F(j, n), b + F(j, n))]
+                assert _first_bad_shift(a, b, n) == (bad[0] if bad else None), (a, b, n)
 
 
 # ------------------------------------------------------------------- hulls

@@ -109,6 +109,12 @@ def criterion_03() -> CriterionResult:
     return _ok(ident, desc, str(computed), t0)
 
 
+def _grid_residue(x: UnitRational, modulus: int) -> int:
+    if modulus % x.den:
+        raise InvalidInputError(f"{x} is not on the grid of modulus {modulus}")
+    return (x.num * (modulus // x.den)) % modulus
+
+
 def criterion_04() -> CriterionResult:
     ident, desc = "criterion-04", "a=(1,3,5,7): grid-3^9 set quasi-convex; all multi-term forms certified out"
     t0 = time.time()
@@ -118,7 +124,6 @@ def criterion_04() -> CriterionResult:
     if not rep.is_quasi_convex():
         extra = sorted(rep.hull.residues - E.residues)[:4]
         return _fail(ident, desc, f"hull gained {extra}", t0)
-    n = E.modulus
     certs = 0
     for eps in product((-1, 0, 1), repeat=4):
         if sum(1 for e in eps if e) < 2:
@@ -138,8 +143,7 @@ def criterion_04() -> CriterionResult:
         expected_eval = UnitRational.from_fraction(closed + rem)
         if expected_eval != cert.evaluation:
             return _fail(ident, desc, f"evaluation mismatch for eps={eps}", t0)
-        target_res = (cert.target.num * (n // cert.target.den)) % n
-        if target_res in rep.hull.residues:
+        if _grid_residue(cert.target, E.modulus) in rep.hull.residues:
             return _fail(ident, desc, f"target {cert.target} not excluded", t0)
         certs += 1
     return _ok(ident, desc, f"hull == set on grid 3^9; {certs} certificates verified", t0)
@@ -151,12 +155,12 @@ def criterion_05() -> CriterionResult:
     E = points_K3(GapSequence.of(0, 2))
     rep = hull(E)
     translate = UnitRational(1, 3) + UnitRational(1, 27)
-    res = (translate.num * (E.modulus // translate.den)) % E.modulus
+    res = _grid_residue(translate, E.modulus)
     if rep.is_quasi_convex() or res not in rep.hull.residues or res in E.residues:
         return _fail(ident, desc, "translate point 10/27 missing from hull", t0)
     E2 = points_K3(GapSequence.of(1, 2))
     rep2 = hull(E2)
-    res2 = (UnitRational(2, 27).num * (27 // 27)) % 27
+    res2 = _grid_residue(UnitRational(2, 27), E2.modulus)
     if res2 not in rep2.hull.residues or res2 in E2.residues:
         return _fail(ident, desc, "2/27 missing from hull of {0,+-1/9,+-1/27}", t0)
     return _ok(ident, desc, "both contaminations exhibited on their grids", t0)
@@ -196,10 +200,10 @@ def criterion_07() -> CriterionResult:
     for entries in [(1, 3), (1, 3, 5), (0, 2), (0, 2, 4)]:
         a = GapSequence(entries)
         aL = a.entries[-1] + 1
-        if q12_set(a, "T", aL) != epsilon_forms(a, "T", aL):
+        if q12_set(a, "T3", aL) != epsilon_forms(a, "T3", aL):
             return _fail(ident, desc, f"T-side mismatch for a={entries}", t0)
         for M in (a.entries[-1] + 1, level_for(a)):
-            if q12_set(a, "J", M) != epsilon_forms(a, "J", M):
+            if q12_set(a, "J3", M) != epsilon_forms(a, "J3", M):
                 return _fail(ident, desc, f"J-side mismatch for a={entries} at level {M}", t0)
         cases += 1
     return _ok(ident, desc, f"{cases} sequences, both carriers", t0)
@@ -212,19 +216,13 @@ def criterion_08() -> CriterionResult:
         a = GapSequence(entries)
         k_max = a.entries[-1] + 2
         expected = frozenset(k for k in range(k_max + 1) if k not in set(entries))
-        for side in ("T", "J"):
+        for side in ("T3", "J3"):
             j1 = compute_Jm(a, 1, k_max, side)
             j2 = compute_Jm(a, 2, k_max, side)
             if not (j1 == j2 == expected):
                 return _fail(ident, desc,
                              f"a={entries} side={side}: J1={sorted(j1)} J2={sorted(j2)}", t0)
     return _ok(ident, desc, "4 sequences, both sides, k through a_max+2", t0)
-
-
-def _grid_residue(x: UnitRational, modulus: int) -> int:
-    if modulus % x.den:
-        raise InvalidInputError(f"{x} is not on the grid of modulus {modulus}")
-    return (x.num * (modulus // x.den)) % modulus
 
 
 def criterion_09() -> CriterionResult:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, too_long_to_print
 
 HALF = Fraction(1, 2)
 
@@ -76,16 +76,22 @@ class UnitRational:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        try:
+            if self.den == 1:
+                return str(self.num)
+            return f"{self.num}/{self.den}"
+        except ValueError as exc:
+            raise too_long_to_print(max(abs(self.num), self.den)) from exc
 
 
 def render_rational(q: Fraction | int) -> str:
     f = Fraction(q)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise too_long_to_print(max(abs(f.numerator), f.denominator)) from exc
 
 
 def parse_rational(text: str) -> Fraction:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import acceptance
 from .circle import parse_rational, render_rational
 from .duality import ResidueSet, hull, polar
-from .errors import InvalidInputError, describe_int
+from .errors import InvalidInputError, describe_int, too_long_to_print
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, verdict_J3, verdict_R2, verdict_T2,
                        verdict_T3)
@@ -41,7 +41,7 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(output="text" if args.text else "json")
+        cfg = cls(output="text" if getattr(args, "text", False) else "json")
         override = os.environ.get("QCG_MAX_GRID")
         if override:
             try:
@@ -71,10 +71,25 @@ class RunConfig:
         self.check_cyclic(3 ** min(exponent, self.max_cyclic.bit_length()), f"3^{exponent}")
 
 
+def _largest_int(node) -> int:
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return max((_largest_int(v) for v in node), default=0)
+    return abs(node) if isinstance(node, int) else 0
+
+
+def _dumps(payload: dict) -> str:
+    """Canonical JSON; an integer past Python's int-to-str limit is an input error."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    except ValueError as exc:
+        raise too_long_to_print(_largest_int(payload)) from exc
+
+
 def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
     if cfg.output == "json":
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dumps({"schema": SCHEMA, **payload}))
     else:
         for line in text_lines():
             print(line)
@@ -206,10 +221,8 @@ def _reject_other_family_flag(args, flag: str, family: str) -> None:
 
 
 def cmd_jm(args, cfg: RunConfig) -> int:
-    _reject_other_family_flag(args, "level", "J3")
     a = GapSequence.from_text(args.seq)
-    side = "T" if args.family == "T3" else "J"
-    out = compute_Jm(a, args.m, args.kmax, side, args.level)
+    out = compute_Jm(a, args.m, args.kmax, args.family)
     _emit(cfg, {"op": "jm", "family": args.family, "m": args.m,
                 "k_max": args.kmax, "members": sorted(out)},
           lambda: [f"J_{args.m} up to {args.kmax}: {sorted(out)}"])
@@ -220,22 +233,21 @@ def cmd_q12(args, cfg: RunConfig) -> int:
     _reject_other_family_flag(args, "grid", "T3")
     _reject_other_family_flag(args, "level", "J3")
     a = GapSequence.from_text(args.seq)
-    side = "T" if args.family == "T3" else "J"
-    exponent = args.grid if side == "T" else args.level
+    exponent = args.grid if args.family == "T3" else args.level
     if exponent is None:
-        exponent = a.entries[-1] + 1 if side == "T" else level_for(a)
+        exponent = a.entries[-1] + 1 if args.family == "T3" else level_for(a)
     cfg.check_power_of_3(exponent)
-    q12 = q12_set(a, side, exponent)
-    eps = epsilon_forms(a, side, exponent)
+    q12 = q12_set(a, args.family, exponent)
+    eps = epsilon_forms(a, args.family, exponent)
 
-    def ser(values):
-        if side == "T":
-            return sorted(str(v) for v in values)
-        return sorted(values)
+    def ser(S: ResidueSet) -> list:
+        if S.carrier == "grid":
+            return sorted(S.render(S.residues))
+        return sorted(PadicTruncGroup(exponent).canonical(x) for x in S.residues)
 
     _emit(cfg, {"op": "q12", "family": args.family, "exponent": exponent,
                 "q12": ser(q12), "epsilon_forms": ser(eps), "equal": q12 == eps},
-          lambda: [f"q12 == epsilon_forms: {q12 == eps} ({len(q12)} elements)"])
+          lambda: [f"q12 == epsilon_forms: {q12 == eps} ({len(q12.residues)} elements)"])
     return 0
 
 
@@ -243,8 +255,7 @@ def cmd_certify(args, cfg: RunConfig) -> int:
     a = GapSequence.from_text(args.seq)
     eps = _parse_int_set(args.epsilon)
     cert = (exclusion_T3(a, eps) if args.family == "T3" else exclusion_J3(a, eps))
-    payload = cert.as_json()
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _dumps(cert.as_json())
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -343,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--m", type=int, required=True, choices=[1, 2])
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--level", type=int, default=None)
     p.set_defaults(func=cmd_jm)
 
     p = sub.add_parser("q12", parents=[common],
@@ -354,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None, help="truncation level (J3 side)")
     p.set_defaults(func=cmd_q12)
 
-    p = sub.add_parser("certify", parents=[common],
+    # certify always writes the certificate JSON, so it takes no --text
+    p = sub.add_parser("certify",
                        help="build an exclusion certificate for an epsilon form")
     p.add_argument("--family", required=True, choices=["T3", "J3"])
     p.add_argument("--seq", required=True)

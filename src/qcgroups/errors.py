@@ -13,3 +13,8 @@ class InvalidInputError(ValueError):
 def describe_int(n: int) -> str:
     """n in decimal, or its bit length when the digits would flood a message."""
     return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"
+
+
+def too_long_to_print(n: int) -> InvalidInputError:
+    """The error for an integer past Python's limit on int-to-str digits."""
+    return InvalidInputError(f"{describe_int(n)} is too long to print in decimal")

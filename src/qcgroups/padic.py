@@ -8,21 +8,23 @@ is exactly the integers of absolute value <= (3^M - 1)/2).
 The character zeta_k sends 1 to 3^-(k+1); it factors through Z(3^M)
 precisely when k + 1 <= M, and zeta_eval evaluates it exactly as a
 UnitRational.  On the circle side eta_k is multiplication by 3^k.
-compute_Jm and q12_set pair both kinds of character with the family
-points on integer residues.
+
+Both base-3 families are one computation in Z(3^M), up to the digit flip
+i -> M-1-i.  The J3 point 3^(a_n) is the residue 3^(a_n), and m*zeta_k
+acts on Z(3^M) as multiplication by m*3^(M-1-k); the T3 point 3^-(a_n+1)
+is the grid residue 3^(M-1-a_n) of (1/3^M)Z/Z, and m*eta_k acts as m*3^k.
+So compute_Jm, epsilon_forms and q12_set run one integer computation for
+either family; _in_Z3M places a family in Z(3^M) and holds the flip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from .circle import UnitRational
 from .duality import ResidueSet, in_t_plus, polar_residues
 from .errors import InvalidInputError
-from .families import GapSequence
-
-Side = Literal["T", "J"]
+from .families import FamilyKind, GapSequence
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,6 @@ class PadicTruncGroup:
         """Signed residue in (-order/2, order/2]."""
         r = x % self.order
         return r if 2 * r <= self.order else r - self.order
-
-
-def canonical_residue(x: int, level: int) -> int:
-    return PadicTruncGroup(level).canonical(x)
 
 
 @dataclass(frozen=True)
@@ -90,102 +88,88 @@ def level_for(a: GapSequence) -> int:
     return a.entries[-1] + 2
 
 
-def compute_Jm(a: GapSequence, m: int, k_max: int, side: Side,
-               level: int | None = None) -> frozenset[int]:
+_CARRIERS = {"T3": "grid", "J3": "cyclic"}
+
+
+def _carrier(kind: FamilyKind) -> str:
+    if kind not in _CARRIERS:
+        raise InvalidInputError(f"unknown base-3 family {kind!r}; expected T3 or J3")
+    return _CARRIERS[kind]
+
+
+def _in_Z3M(a: GapSequence, kind: FamilyKind, exponent: int) -> tuple[int, list[int], list[int]]:
+    """n = 3^exponent, the family's point residues and its J_1 = J_2 test characters in Z(n).
+
+    Point a_n sits on digit a_n for J3 and on the flipped digit
+    exponent-1-a_n for T3; character k acts as 3^(exponent-1-k) on J3 and
+    as 3^k on T3.  The test characters are m * (character k), m in {1, 2},
+    for k below the exponent and off the entries (characters beyond the
+    carrier resolution act trivially); 0 acts trivially and keeps a polar
+    nonempty.
+    """
+    _carrier(kind)
+    a.require_nonnegative()
+    if a.entries[-1] >= exponent:
+        raise InvalidInputError(
+            f"Z(3^{exponent}) too small for {kind}; need exponent >= {a.entries[-1] + 1}")
+
+    def digit(i: int) -> int:
+        return exponent - 1 - i if kind == "T3" else i
+
+    entries = set(a.entries)
+    points = [3 ** digit(an) for an in a.entries]
+    chars = [0] + [m * 3 ** (exponent - 1 - digit(k))
+                   for k in range(exponent) if k not in entries for m in (1, 2)]
+    return 3 ** exponent, points, chars
+
+
+def compute_Jm(a: GapSequence, m: int, k_max: int, kind: FamilyKind) -> frozenset[int]:
     """{k <= k_max : m * (character k) maps every family point into T_+}.
 
-    side "T" pairs m*eta_k against the points 3^-(a_n+1); side "J" pairs
-    m*zeta_k against 3^(a_n) inside Z(3^level).  For m in {1, 2} the
-    result is the complement of the entries of `a` in [0, k_max].
-    Residues stay Python ints: 3^k outgrows int64 for large k_max.
+    T3 pairs m*eta_k with 3^-(a_n+1) and J3 pairs m*zeta_k with 3^(a_n);
+    either value is m*3^i / 3^(j+1), with (i, j) = (k, a_n) on T3 and
+    (a_n, k) on J3.  For m in {1, 2} the result is the complement of the
+    entries of `a` in [0, k_max].  Residues stay Python ints: 3^k outgrows
+    int64 for large k_max.
     """
+    _carrier(kind)
     if m not in (1, 2):
         raise InvalidInputError("J_m is computed for m in {1, 2} only")
     if k_max < 0:
         raise InvalidInputError("k_max must be nonnegative")
     a.require_nonnegative()
-    if side == "T":
-        # m*eta_k(3^-(a_n+1)) = m*3^k / 3^(a_n+1)
-        dens = [3 ** (an + 1) for an in a.entries]
-        return frozenset(k for k in range(k_max + 1)
-                         if all(in_t_plus(m * 3 ** k % d, d) for d in dens))
-    if side == "J":
-        needed = max(a.entries[-1] + 1, k_max + 1)
-        if level is None:
-            level = max(level_for(a), k_max + 1)
-        if level < needed:
-            raise InvalidInputError(
-                f"truncation level {level} too short; need level >= {needed}")
-        # m*zeta_k(3^(a_n)) = m*3^(a_n) / 3^(k+1)
-        return frozenset(k for k in range(k_max + 1)
-                         if all(in_t_plus(m * 3 ** an % 3 ** (k + 1), 3 ** (k + 1))
-                                for an in a.entries))
-    raise InvalidInputError(f"unknown side {side!r}")
+
+    def in_polar(k: int) -> bool:
+        pairs = [(k, an) if kind == "T3" else (an, k) for an in a.entries]
+        return all(in_t_plus(m * 3 ** i % 3 ** (j + 1), 3 ** (j + 1)) for i, j in pairs)
+
+    return frozenset(k for k in range(k_max + 1) if in_polar(k))
 
 
-def epsilon_forms(a: GapSequence, side: Side, exponent: int) -> frozenset:
-    """All sums sum_n eps_n * (family point), eps_n in {-1,0,1}.
+def epsilon_forms(a: GapSequence, kind: FamilyKind, exponent: int) -> ResidueSet:
+    """All sums sum_n eps_n * (family point), eps_n in {-1,0,1}, in Z(3^exponent).
 
-    side "T": points 3^-(a_n+1) on the grid 3^exponent, returned as
-    UnitRationals; side "J": points 3^(a_n) in Z(3^exponent), returned as
-    canonical signed residues.  Distinct coefficient vectors never
-    collide (balanced-digit uniqueness); this is checked.
+    A grid set for T3 and a cyclic one for J3.  Distinct coefficient
+    vectors never collide (balanced-digit uniqueness); this is checked.
     """
-    a.require_nonnegative()
-    entries = a.entries
-    if side == "T":
-        if entries[-1] + 1 > exponent:
-            raise InvalidInputError(
-                f"grid 3^{exponent} too small; need exponent >= {entries[-1] + 1}")
-        points = [UnitRational(1, 3 ** (an + 1)) for an in entries]
-        acc = {UnitRational(0)}
-        for x in points:
-            acc = {s + e * x for s in acc for e in (-1, 0, 1)}
-    elif side == "J":
-        if entries[-1] > exponent - 1:
-            raise InvalidInputError(
-                f"carrier Z(3^{exponent}) too small; need exponent >= {entries[-1] + 1}")
-        group = PadicTruncGroup(exponent)
-        acc = {0}
-        for an in entries:
-            y = 3 ** an
-            acc = {group.canonical(s + e * y) for s in acc for e in (-1, 0, 1)}
-    else:
-        raise InvalidInputError(f"unknown side {side!r}")
-    if len(acc) != 3 ** len(entries):
+    n, points, _ = _in_Z3M(a, kind, exponent)
+    acc = {0}
+    for y in points:
+        acc = {s + e * y for s in acc for e in (-1, 0, 1)}
+    forms = ResidueSet(n, frozenset(acc), _carrier(kind))
+    if len(forms.residues) != 3 ** len(points):
         raise RuntimeError("epsilon forms collided; implementation bug")
-    return frozenset(acc)
+    return forms
 
 
-def q12_set(a: GapSequence, side: Side, exponent: int) -> frozenset:
+def q12_set(a: GapSequence, kind: FamilyKind, exponent: int) -> ResidueSet:
     """Finite analogue of Q_1 int Q_2: carrier points passing every J_1=J_2 test.
 
-    The test set of indices is {0, ..., exponent-1} minus the entries of
-    `a` (characters beyond the carrier resolution act trivially).
-    Element types match epsilon_forms for direct comparison.
-
-    With n = 3^exponent, m*eta_k(j/n) = m*3^k*j/n and
-    m*zeta_k(x) = m*3^(exponent-k-1)*x/n, so either side is the polar in
-    Z(n) of those characters (0 acts trivially and keeps the set nonempty).
+    The polar in Z(3^exponent) of the test characters, as the same kind
+    of set as epsilon_forms for direct comparison.
     """
-    a.require_nonnegative()
-    entries = set(a.entries)
-    ks = [k for k in range(exponent) if k not in entries]
-    n = 3 ** exponent
-    if side == "T":
-        if a.entries[-1] + 1 > exponent:
-            raise InvalidInputError(
-                f"grid 3^{exponent} too small; need exponent >= {a.entries[-1] + 1}")
-        chars = [m * 3 ** k for k in ks for m in (1, 2)]
-        return frozenset(UnitRational(j, n) for j in polar_residues(n, [0] + chars))
-    if side == "J":
-        if a.entries[-1] > exponent - 1:
-            raise InvalidInputError(
-                f"carrier Z(3^{exponent}) too small; need exponent >= {a.entries[-1] + 1}")
-        group = PadicTruncGroup(exponent)
-        chars = [m * 3 ** (exponent - k - 1) for k in ks for m in (1, 2)]
-        return frozenset(group.canonical(x) for x in polar_residues(n, [0] + chars))
-    raise InvalidInputError(f"unknown side {side!r}")
+    n, _, chars = _in_Z3M(a, kind, exponent)
+    return ResidueSet(n, polar_residues(n, chars), _carrier(kind))
 
 
 def L3_truncate(a: GapSequence, level: int) -> ResidueSet:

@@ -23,10 +23,11 @@ from typing import Literal, Optional, Sequence, Union
 from .circle import UnitRational, parse_rational, render_rational
 from .errors import InvalidInputError
 from .families import GapSequence
-from .padic import PruferChar, canonical_residue, level_for, zeta_eval
+from .padic import PadicTruncGroup, PruferChar, level_for, zeta_eval
 
 QUARTER = Fraction(1, 4)
 SCHEMA = "qcgroups/1"
+_SPACES = {"T3": "grid", "J3": "padic-trunc"}
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class TailBound:
 class ExclusionCertificate:
     """A character in the family polar plus a point it pushes outside T_+."""
 
-    space: Literal["grid", "padic-trunc", "real-line"]
     family_kind: Literal["T3", "J3"]
     family: GapSequence
     character: Union[int, PruferChar]
@@ -63,7 +63,7 @@ class ExclusionCertificate:
                   else self.target)
         return {
             "schema": SCHEMA,
-            "space": self.space,
+            "space": _SPACES[self.family_kind],
             "family": {"kind": self.family_kind, "entries": list(self.family.entries)},
             "character": char,
             "target": target,
@@ -73,9 +73,6 @@ class ExclusionCertificate:
             "negated": self.negated,
             "tail_bound": self.tail_bound.as_json(),
         }
-
-
-_SPACES = {"T3": "grid", "J3": "padic-trunc"}
 
 
 def _integer(value) -> int:
@@ -112,8 +109,7 @@ def certificate_from_json(data: dict) -> ExclusionCertificate:
         tb = TailBound(_integer(data["tail_bound"]["start"]),
                        parse_rational(data["tail_bound"]["bound"]))
         return ExclusionCertificate(
-            space=data["space"], family_kind=kind, family=fam,
-            character=character, target=target,
+            family_kind=kind, family=fam, character=character, target=target,
             evaluation=UnitRational.from_fraction(parse_rational(data["evaluation"])),
             rho=_integer(data["rho"]), k_index=_integer(data["indices"][0]),
             l_index=_integer(data["indices"][1]), tail_bound=tb, negated=negated)
@@ -238,9 +234,8 @@ def exclusion_T3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
     if evaluation.norm() <= QUARTER:
         raise RuntimeError("evaluation landed inside T_+; implementation bug")
     return ExclusionCertificate(
-        space="grid", family_kind="T3", family=a, character=chi, target=target,
-        evaluation=evaluation, rho=rho, k_index=n0, l_index=n1,
-        tail_bound=tb, negated=negated)
+        family_kind="T3", family=a, character=chi, target=target, evaluation=evaluation,
+        rho=rho, k_index=n0, l_index=n1, tail_bound=tb, negated=negated)
 
 
 def exclusion_J3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate:
@@ -259,8 +254,7 @@ def exclusion_J3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
     char = PruferChar(m_signed, e[n1] + 1)
 
     raw = sum(eps[i] * 3 ** e[i] for i in nz)
-    level = level_for(a)
-    target = canonical_residue(raw, level)
+    target = PadicTruncGroup(level_for(a)).canonical(raw)
     evaluation = UnitRational(m_signed * raw, 3 ** (e[n1] + 2))
 
     closed = Fraction(rho, 3) + Fraction(2, 3 ** (e[n1] - e[n0] + 2))
@@ -270,8 +264,8 @@ def exclusion_J3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
         raise RuntimeError("evaluation landed inside T_+; implementation bug")
     start = nz[2] if len(nz) > 2 else len(a)
     return ExclusionCertificate(
-        space="padic-trunc", family_kind="J3", family=a, character=char,
-        target=target, evaluation=evaluation, rho=rho, k_index=n0, l_index=n1,
+        family_kind="J3", family=a, character=char, target=target,
+        evaluation=evaluation, rho=rho, k_index=n0, l_index=n1,
         tail_bound=TailBound(start, Fraction(0)), negated=negated)
 
 

@@ -132,15 +132,26 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("error: ") and len(err) < 200, err[:200]
+    # integers past Python's 4300-digit int-to-str limit, in a rational, a
+    # JSON integer, a target and a polar period: exit 2, nothing written
+    out = tmp_path / "big.json"
+    for argv in (["certify", "--family", "T3", "--seq", "1,30000", "--epsilon", "1,1"],
+                 ["certify", "--family", "J3", "--seq", "0,2,30000", "--epsilon", "1,0,1"],
+                 ["certify", "--family", "J3", "--seq", "0,30000,30002", "--epsilon", "0,1,1"],
+                 ["member-r", "--set", "1/3", "--target", "1e-5000"],
+                 ["polar-r", "--set", "1e-5000"]):
+        for extra in ([], ["--out", str(out)]) if argv[0] == "certify" else ([],):
+            code, stdout, err = run(capsys, *argv, *extra)
+            assert code == 2 and stdout == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:200]
+            assert "too long to print" in err and not out.exists()
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
     code, _, err = run(capsys, "verify-cert", "--cert", str(path))
     assert code == 2 and "nested too deeply" in err
     # a flag of the other family is rejected, not ignored
     for argv, flag in ((["q12", "--family", "T3", "--seq", "1,3", "--level", "9"], "--level"),
-                       (["q12", "--family", "J3", "--seq", "0,2", "--grid", "9"], "--grid"),
-                       (["jm", "--family", "T3", "--seq", "1,3", "--m", "1", "--kmax", "5",
-                         "--level", "3"], "--level")):
+                       (["q12", "--family", "J3", "--seq", "0,2", "--grid", "9"], "--grid")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"{flag} belongs to --family" in err
 
@@ -150,6 +161,20 @@ def test_jobs_belongs_to_verify_paper_only(capsys):
         main(["hull-zn", "--n", "24", "--set", "1", "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+# jm has no truncation level (J_m does not depend on one), and certify
+# always writes JSON
+@pytest.mark.parametrize("argv, flag", [
+    (["jm", "--family", "J3", "--seq", "0,2", "--m", "1", "--kmax", "5", "--level", "3"], "--level"),
+    (["certify", "--family", "T3", "--seq", "1,3", "--epsilon", "1,1", "--text"], "--text"),
+])
+def test_flags_a_subcommand_lacks_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"unrecognized arguments: {flag}" in out.err
 
 
 # sha256 of stdout for fixed calls; any byte changed in the output fails
@@ -168,6 +193,20 @@ GOLDEN = [
      "aa13543f70431a62bf0a7ac44ea2a74834a956f2c62320c88996bdbe8b26b272"),
     (["q12", "--family", "J3", "--seq", "0,2,4"],
      "6618cff77bca02117b8da9d6a9cb2b78f8f7d3a6e130010a87b08b5784a16526"),
+    (["q12", "--family", "J3", "--seq", "0,2,4", "--text"],
+     "dd2e0a94a58d96d4378e118276ec797dec0707094eef0732c69980a574969331"),
+    (["jm", "--family", "T3", "--seq", "1,3,6", "--m", "1", "--kmax", "8"],
+     "40bab26a62926abf74ab5ecd8bb9d32f5549fbc93ff460feda62d080dc64da89"),
+    (["jm", "--family", "T3", "--seq", "1,3,6", "--m", "2", "--kmax", "8"],
+     "7633dc6b5f79e58c0447cd4e8bb5bbd75c2bdfeed58af10befd705c852dc974f"),
+    (["jm", "--family", "J3", "--seq", "0,2,5", "--m", "1", "--kmax", "8"],
+     "ebc70f21d2da5f361d0cfc51096bf6855e859692f2d37dd79e4c8a0455561533"),
+    (["jm", "--family", "J3", "--seq", "0,2,5", "--m", "2", "--kmax", "8"],
+     "6c4eddb1f2d07b021d13b9102f72fb47eda2ab0738f19154546b4ff903dabe6f"),
+    (["certify", "--family", "T3", "--seq", "1,3,5", "--epsilon", "1,-1,1"],
+     "5ab3c5c591edb9d5e07895b05f77fc00d6b663bfbd03a1e67c72595f5a8c965b"),
+    (["certify", "--family", "J3", "--seq", "0,2,4", "--epsilon", "1,0,-1"],
+     "3d83d91efa6774cb686c31b3ed4f30073941f667bc7262ba2f6ed5300f3b0418"),
     (["hull-t", "--set", "0,1/9,-1/9,1/27,-1/27", "--text"],
      "e6c7fa197c234e1cbd4a343fc96ca71f0801a464b735c858d6c980bc9694b757"),
     (["polar-r", "--set", "1/4"],

@@ -1,15 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qcgroups.circle import UnitRational
+from qcgroups.duality import ResidueSet, polar_residues
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence
-from qcgroups.padic import (PadicTruncGroup, PruferChar, canonical_residue,
-                            compute_Jm, epsilon_forms, L3_truncate, level_for,
-                            q12_set, zeta_eval)
+from qcgroups.padic import (PadicTruncGroup, PruferChar, compute_Jm,
+                            epsilon_forms, L3_truncate, level_for, q12_set,
+                            zeta_eval)
 
 GS = GapSequence.of
 F = Fraction
@@ -21,7 +23,6 @@ def test_group_canonical_residues():
     assert g.canonical(13) == 13
     assert g.canonical(14) == -13
     assert g.canonical(26) == -1
-    assert canonical_residue(2, 1) == -1
 
 
 def test_group_validation():
@@ -61,16 +62,14 @@ def test_prufer_char_call():
 
 
 def test_compute_Jm_examples():
-    assert compute_Jm(GS(1, 3), 1, 4, "T") == frozenset({0, 2, 4})
-    assert compute_Jm(GS(0, 2, 4), 2, 5, "J") == frozenset({1, 3, 5})
-    assert compute_Jm(GS(1, 3), 2, 4, "T") == frozenset({0, 2, 4})
+    assert compute_Jm(GS(1, 3), 1, 4, "T3") == frozenset({0, 2, 4})
+    assert compute_Jm(GS(0, 2, 4), 2, 5, "J3") == frozenset({1, 3, 5})
+    assert compute_Jm(GS(1, 3), 2, 4, "T3") == frozenset({0, 2, 4})
 
 
 def test_compute_Jm_validation():
     with pytest.raises(InvalidInputError):
-        compute_Jm(GS(1, 3), 3, 4, "T")
-    with pytest.raises(InvalidInputError):
-        compute_Jm(GS(0, 2, 4), 2, 5, "J", level=4)   # needs level >= 6
+        compute_Jm(GS(1, 3), 3, 4, "T3")
     with pytest.raises(InvalidInputError):
         compute_Jm(GS(1, 3), 1, 4, "X")
 
@@ -80,45 +79,104 @@ def test_Jm_complement_property():
         a = GapSequence(entries)
         k_max = entries[-1] + 3
         expected = frozenset(set(range(k_max + 1)) - set(entries))
-        for side in ("T", "J"):
-            assert compute_Jm(a, 1, k_max, side) == expected
-            assert compute_Jm(a, 2, k_max, side) == expected
+        for kind in ("T3", "J3"):
+            assert compute_Jm(a, 1, k_max, kind) == expected
+            assert compute_Jm(a, 2, k_max, kind) == expected
 
 
 # ------------------------------------------------------------ epsilon / Q12
 
 
 def test_epsilon_forms_examples():
-    assert epsilon_forms(GS(0, 2), "J", 3) == frozenset(
-        {0, 1, -1, 9, -9, 10, -10, 8, -8})
-    assert epsilon_forms(GS(1), "T", 2) == frozenset(
-        {UnitRational(0), UnitRational(1, 9), UnitRational(-1, 9)})
-    forms = epsilon_forms(GS(1, 3), "T", 4)
-    assert len(forms) == 9
-    assert UnitRational(10, 81) in forms and UnitRational(8, 81) in forms
+    assert epsilon_forms(GS(0, 2), "J3", 3) == ResidueSet(
+        27, frozenset({0, 1, -1, 9, -9, 10, -10, 8, -8}), "cyclic")
+    assert epsilon_forms(GS(1), "T3", 2) == ResidueSet(9, frozenset({0, 1, -1}), "grid")
+    forms = epsilon_forms(GS(1, 3), "T3", 4)
+    assert len(forms.residues) == 9
+    assert {10, 8} <= forms.residues    # 10/81 and 8/81
 
 
 def test_epsilon_forms_validation():
     with pytest.raises(InvalidInputError):
-        epsilon_forms(GS(1, 3), "T", 3)
+        epsilon_forms(GS(1, 3), "T3", 3)
     with pytest.raises(InvalidInputError):
-        epsilon_forms(GS(0, 5), "J", 5)
+        epsilon_forms(GS(0, 5), "J3", 5)
 
 
 def test_q12_equals_epsilon_forms_when_gaps_exceed_one():
     for entries in [(1, 3), (0, 2), (2, 4), (1, 4)]:
         a = GapSequence(entries)
         L = entries[-1] + 1
-        assert q12_set(a, "T", L) == epsilon_forms(a, "T", L)
+        assert q12_set(a, "T3", L) == epsilon_forms(a, "T3", L)
         for M in (entries[-1] + 1, entries[-1] + 2):
-            assert q12_set(a, "J", M) == epsilon_forms(a, "J", M)
+            assert q12_set(a, "J3", M) == epsilon_forms(a, "J3", M)
 
 
 def test_q12_unconstrained_carrier():
     # a covers every index below the level: no constraints survive
-    g = PadicTruncGroup(3)
-    assert q12_set(GS(0, 1, 2), "J", 3) == frozenset(
-        g.canonical(x) for x in range(27))
+    assert q12_set(GS(0, 1, 2), "J3", 3) == ResidueSet(27, frozenset(range(27)), "cyclic")
+
+
+# The per-family formulas that the single Z(3^M) path replaced, kept as oracles.
+
+def _old_Jm(a, m, k_max, kind):
+    if kind == "T3":   # m*eta_k(3^-(a_n+1))
+        ok = lambda k: all(UnitRational(m * 3 ** k, 3 ** (an + 1)).in_Tm(1) for an in a.entries)
+    else:              # m*zeta_k(3^(a_n)), at a level the characters factor through
+        level = max(level_for(a), k_max + 1)
+        ok = lambda k: all(zeta_eval(m, k, 3 ** an, level).in_Tm(1) for an in a.entries)
+    return frozenset(k for k in range(k_max + 1) if ok(k))
+
+
+def _old_epsilon_forms(a, kind, exponent):
+    """T3 as UnitRationals, J3 as canonical signed residues."""
+    if kind == "T3":
+        acc = {UnitRational(0)}
+        for an in a.entries:
+            x = UnitRational(1, 3 ** (an + 1))
+            acc = {s + e * x for s in acc for e in (-1, 0, 1)}
+    else:
+        group = PadicTruncGroup(exponent)
+        acc = {0}
+        for an in a.entries:
+            acc = {group.canonical(s + e * 3 ** an) for s in acc for e in (-1, 0, 1)}
+    return frozenset(acc)
+
+
+def _old_q12(a, kind, exponent):
+    """The polar of m*eta_k (T3) or m*zeta_k (J3), k < exponent off the entries."""
+    ks = [k for k in range(exponent) if k not in a.entries]
+    n = 3 ** exponent
+    if kind == "T3":
+        chars = [m * 3 ** k for k in ks for m in (1, 2)]
+        return frozenset(UnitRational(j, n) for j in polar_residues(n, [0] + chars))
+    chars = [m * 3 ** (exponent - k - 1) for k in ks for m in (1, 2)]
+    group = PadicTruncGroup(exponent)
+    return frozenset(group.canonical(x) for x in polar_residues(n, [0] + chars))
+
+
+def _as_old(S, kind, exponent):
+    """A residue set written the old per-family way."""
+    if kind == "T3":
+        return frozenset(UnitRational(r, S.modulus) for r in S.residues)
+    return frozenset(PadicTruncGroup(exponent).canonical(r) for r in S.residues)
+
+
+@pytest.mark.parametrize("kind", ["T3", "J3"])
+def test_one_path_matches_the_per_family_formulas(kind):
+    carrier = "grid" if kind == "T3" else "cyclic"
+    seqs = [GapSequence(c) for r in range(1, 4) for c in combinations(range(7), r)]
+    for a in seqs:
+        amax = a.entries[-1]
+        for m in (1, 2):
+            k_max = amax + 3
+            assert compute_Jm(a, m, k_max, kind) == _old_Jm(a, m, k_max, kind), (a, m)
+        for exponent in range(amax + 1, amax + 4):
+            eps, q12 = epsilon_forms(a, kind, exponent), q12_set(a, kind, exponent)
+            assert eps.modulus == q12.modulus == 3 ** exponent
+            assert eps.carrier == q12.carrier == carrier
+            assert _as_old(eps, kind, exponent) == _old_epsilon_forms(a, kind, exponent)
+            assert _as_old(q12, kind, exponent) == _old_q12(a, kind, exponent), (a, exponent)
 
 
 # ------------------------------------------------------------------- L3

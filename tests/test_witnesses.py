@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from qcgroups.acceptance import _grid_residue
 from qcgroups.circle import UnitRational
 from qcgroups.duality import hull, hull_contains, hull_residues
 from qcgroups.errors import InvalidInputError
@@ -177,14 +178,12 @@ def test_certificates_exclude_targets_from_truncated_hulls():
     a = GS(1, 3, 6)
     E = points_K3(a)
     rep = hull(E)
-    n = E.modulus
     for eps in product((-1, 0, 1), repeat=3):
         if sum(1 for e in eps if e) < 2:
             continue
         cert = exclusion_T3(a, eps)
         assert verify_certificate(cert)
-        res = (cert.target.num * (n // cert.target.den)) % n
-        assert res not in rep.hull.residues
+        assert _grid_residue(cert.target, E.modulus) not in rep.hull.residues
 
     aj = GS(0, 3)
     L = L3_truncate(aj, 5)

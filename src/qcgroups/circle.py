@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, too_long_to_print
+from .errors import InvalidInputError, quote_input, too_long_to_print
 
 HALF = Fraction(1, 2)
 
@@ -100,7 +100,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"not a rational: {text!r}") from exc
+        raise InvalidInputError(f"not a rational: {quote_input(text)}") from exc
 
 
 def intersect_pairs(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:

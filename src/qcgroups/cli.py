@@ -19,7 +19,8 @@ from fractions import Fraction
 from . import acceptance
 from .circle import parse_rational, render_rational
 from .duality import ResidueSet, hull, polar
-from .errors import InvalidInputError, describe_int, too_long_to_print
+from .errors import (InvalidInputError, describe_int, quote_input,
+                     too_long_to_print)
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, verdict_J3, verdict_R2, verdict_T2,
                        verdict_T3)
@@ -106,7 +107,7 @@ def _parse_int_set(text: str) -> list[int]:
     try:
         items = [int(t) for t in text.split(",") if t.strip() != ""]
     except ValueError as exc:
-        raise InvalidInputError(f"bad integer set {text!r}") from exc
+        raise InvalidInputError(f"bad integer set {quote_input(text)}") from exc
     if not items:
         raise InvalidInputError("empty set")
     return items
@@ -274,8 +275,11 @@ def cmd_verify_cert(args, cfg: RunConfig) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read certificate: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"certificate is not JSON: {exc}") from exc
+    except ValueError as exc:   # an integer past Python's int-from-str digit limit
+        raise InvalidInputError("certificate holds an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise InvalidInputError("certificate JSON is nested too deeply") from exc
     cert = certificate_from_json(data)

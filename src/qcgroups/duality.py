@@ -18,6 +18,11 @@ the character group Z(n).
 The hot loops run on int64 numpy vectors; moduli are capped well below
 the overflow bound so every product is exact, and larger moduli are
 rejected.  Every test of "k*j/n lies in T_+" goes through in_t_plus.
+Both kernels shrink a candidate array: polar_residues keeps the
+characters that pass every element so far, and hull_residues the points
+that pass every character so far, so each pass runs only over the
+survivors.  The polar is walked in ascending order, which is why every
+witness is the smallest character that excludes its point.
 For n <= 64 a subset of Z(n) fits in one uint64, and hull_masks /
 image_masks take the hulls and images of whole arrays of subsets at once.
 
@@ -36,7 +41,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .circle import HALF, RationalIntervalUnion, UnitRational, intersect_pairs
-from .errors import InvalidInputError, describe_int
+from .errors import InvalidInputError, describe_int, too_long_to_print
 
 # products k*j with k, j < n must fit in int64
 _NUMPY_SAFE_MODULUS = 3_000_000_000
@@ -88,12 +93,9 @@ def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:
     if not elems:
         raise InvalidInputError("polar of the empty set is not defined here")
     k = np.arange(n, dtype=np.int64)
-    mask = np.ones(n, dtype=bool)
     for e in elems:
-        r = k * e
-        r %= n
-        mask &= in_t_plus(r, n)
-    return frozenset(int(v) for v in np.nonzero(mask)[0])
+        k = k[in_t_plus(k * e % n, n)]
+    return frozenset(k.tolist())
 
 
 def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[int, int]]:
@@ -105,20 +107,14 @@ def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[in
     # -k gives the same row as k, and k <= n/2 comes first, so the witnesses
     # stay the smallest excluding characters
     polar = [k for k in sorted(polar_residues(n, elems)) if 2 * k <= n]
-    j = np.arange(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
+    alive = np.arange(n, dtype=np.int64)
     witness: dict[int, int] = {}
     for k in polar:
-        r = j * k
-        r %= n
-        ok = in_t_plus(r, n)
-        newly = alive & ~ok
-        if newly.any():
-            for p in np.nonzero(newly)[0]:
-                witness[int(p)] = k
-            alive &= ok
-    hull = frozenset(int(v) for v in np.nonzero(alive)[0])
-    return hull, witness
+        ok = in_t_plus(alive * k % n, n)
+        for p in alive[~ok].tolist():
+            witness[p] = k
+        alive = alive[ok]
+    return frozenset(alive.tolist()), witness
 
 
 def hull_contains(n: int, gens: Iterable[int], target: int) -> bool:
@@ -172,6 +168,17 @@ def image_masks(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     return _bytewise(np.bitwise_or, np.uint64(0), rows, masks)
 
 
+def _grid_point(r: int, n: int) -> str:
+    """r/n in lowest terms with numerator in (-n/2, n/2], as UnitRational writes it."""
+    r %= n
+    if 2 * r > n:
+        r -= n
+    if r == 0:
+        return "0"
+    g = gcd(r, n)
+    return f"{r // g}/{n // g}"
+
+
 Carrier = Literal["grid", "cyclic"]
 
 # the JSON key that names the modulus, per carrier
@@ -219,7 +226,10 @@ class ResidueSet:
         if self.carrier == "cyclic":
             return list(residues)
         n = self.modulus
-        return [str(UnitRational(r, n)) for r in residues]
+        try:
+            return [_grid_point(r, n) for r in residues]
+        except ValueError as exc:
+            raise too_long_to_print(n) from exc
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ def describe_int(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"
 
 
+def quote_input(text: str, limit: int = 60) -> str:
+    """text quoted for a message; past limit characters, a prefix and the length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def too_long_to_print(n: int) -> InvalidInputError:
     """The error for an integer past Python's limit on int-to-str digits."""
     return InvalidInputError(f"{describe_int(n)} is too long to print in decimal")

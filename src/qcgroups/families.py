@@ -22,7 +22,7 @@ from typing import Literal, Optional
 
 from .circle import UnitRational
 from .duality import ResidueSet
-from .errors import InvalidInputError
+from .errors import InvalidInputError, quote_input
 
 QUASI_CONVEX = "QuasiConvex"
 NOT_QUASI_CONVEX = "NotQuasiConvex"
@@ -51,7 +51,7 @@ class GapSequence:
         try:
             return cls(tuple(int(t) for t in text.split(",") if t.strip() != ""))
         except ValueError as exc:
-            raise InvalidInputError(f"bad sequence text {text!r}") from exc
+            raise InvalidInputError(f"bad sequence text {quote_input(text)}") from exc
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -88,7 +88,7 @@ class DivisibleChain:
         try:
             return cls(tuple(int(t) for t in text.split(",") if t.strip() != ""))
         except ValueError as exc:
-            raise InvalidInputError(f"bad chain text {text!r}") from exc
+            raise InvalidInputError(f"bad chain text {quote_input(text)}") from exc
 
     @property
     def ratios(self) -> tuple[int, ...]:

@@ -149,6 +149,25 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     path.write_text("[" * 100000 + "]" * 100000)
     code, _, err = run(capsys, "verify-cert", "--cert", str(path))
     assert code == 2 and "nested too deeply" in err
+    # a JSON integer past the int-from-str digit limit, and bytes that are not UTF-8
+    code, cert, _ = run(capsys, "certify", "--family", "J3", "--seq", "0,2,4", "--epsilon", "1,0,1")
+    assert code == 0 and '"target": 82' in cert
+    for data, needle in ((cert.replace('"target": 82', '"target": ' + "7" * 5000).encode(), "digits"),
+                         (b'{"schema": \x80}', "not JSON")):
+        path.write_bytes(data)
+        code, out, err = run(capsys, "verify-cert", "--cert", str(path))
+        assert code == 2 and out == "" and needle in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:200]
+    # malformed input text is quoted in part, not echoed whole
+    nines = "9" * 5000
+    for argv in (["hull-zn", "--n", "24", "--set", "1," + nines],
+                 ["family-verdict", "--family", "chain", "--seq", "3," + nines],
+                 ["family-verdict", "--family", "T3", "--seq", "1,x" + nines],
+                 ["hull-t", "--set", "1/3,x" + nines]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv[:2]
+        assert err.startswith("error: ") and len(err.encode()) < 200, err[:200]
+        assert err.endswith(" characters)\n"), err
     # a flag of the other family is rejected, not ignored
     for argv, flag in ((["q12", "--family", "T3", "--seq", "1,3", "--level", "9"], "--level"),
                        (["q12", "--family", "J3", "--seq", "0,2", "--grid", "9"], "--grid")):

@@ -29,6 +29,9 @@ def test_residue_set_validates_and_reduces():
     assert grid(8, 9, -1).residues == frozenset({1, 7})
     assert ResidueSet.from_rationals([F(1, 4), F(-1, 8)]) == grid(8, 2, 7)
     assert grid(8, 2, 7).render([7, 2]) == ["-1/8", "1/4"]
+    assert grid(8).render([0, 4, 12, -6]) == ["0", "1/2", "1/2", "1/4"]
+    with pytest.raises(InvalidInputError, match="too long to print"):
+        grid(10 ** 5000).render([1])
     assert zn(8, 2, 7).render([7, 2]) == [7, 2]
     for bad in (lambda: zn(0, 1), lambda: grid(-4, 1),
                 lambda: ResidueSet(4, frozenset({1}), "real"),
@@ -110,6 +113,27 @@ def test_hull_closure_properties(n, data):
     extra = data.draw(st.integers(0, n - 1))
     bigger, _ = hull_residues(n, set(elems) | {extra})
     assert hull <= bigger                           # monotone
+
+
+@given(st.integers(min_value=1, max_value=200),
+       st.lists(st.integers(-400, 400), min_size=1, max_size=4))
+@example(1, [0])
+@example(2, [0])
+@example(2, [1])
+@example(200, [1, 7, -50, 199])
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dense_oracle(n, elems):
+    def inside(r):                                  # r/n in T_+, on plain ints
+        r %= n
+        return 4 * min(r, n - r) <= n
+
+    polar_set = {k for k in range(n) if all(inside(k * e) for e in elems)}
+    hull_set = {p for p in range(n) if all(inside(k * p) for k in polar_set)}
+    assert polar_residues(n, elems) == polar_set
+    got, witnesses = hull_residues(n, elems)
+    assert got == hull_set
+    assert witnesses == {p: min(k for k in polar_set if not inside(k * p))
+                         for p in range(n) if p not in hull_set}
 
 
 def _bits(mask, n):

@@ -36,12 +36,9 @@ class UnitRational:
             raise InvalidInputError("zero denominator")
         if den < 0:
             num, den = -num, -den
-        num %= den
-        if 2 * num > den:
-            num -= den
-        g = gcd(abs(num), den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        num, den = _reduce_point(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "UnitRational":
@@ -76,22 +73,34 @@ class UnitRational:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        try:
-            if self.den == 1:
-                return str(self.num)
-            return f"{self.num}/{self.den}"
-        except ValueError as exc:
-            raise too_long_to_print(max(abs(self.num), self.den)) from exc
+        return _write_fraction(self.num, self.den)
+
+
+def _reduce_point(num: int, den: int) -> tuple[int, int]:
+    """num/den (den > 0) as a point of T: numerator in (-den/2, den/2], lowest terms."""
+    num %= den
+    if 2 * num > den:
+        num -= den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _write_fraction(num: int, den: int) -> str:
+    """num/den (den > 0, lowest terms) as "num" or "num/den"."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError as exc:
+        raise too_long_to_print(max(abs(num), den)) from exc
+
+
+def render_point(num: int, den: int) -> str:
+    """The point num/den of T (den > 0) written as str(UnitRational(num, den)) does."""
+    return _write_fraction(*_reduce_point(num, den))
 
 
 def render_rational(q: Fraction | int) -> str:
     f = Fraction(q)
-    try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
-    except ValueError as exc:
-        raise too_long_to_print(max(abs(f.numerator), f.denominator)) from exc
+    return _write_fraction(f.numerator, f.denominator)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -40,8 +40,9 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .circle import HALF, RationalIntervalUnion, UnitRational, intersect_pairs
-from .errors import InvalidInputError, describe_int, too_long_to_print
+from .circle import (HALF, RationalIntervalUnion, UnitRational, intersect_pairs,
+                     render_point)
+from .errors import InvalidInputError, describe_int
 
 # products k*j with k, j < n must fit in int64
 _NUMPY_SAFE_MODULUS = 3_000_000_000
@@ -168,17 +169,6 @@ def image_masks(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     return _bytewise(np.bitwise_or, np.uint64(0), rows, masks)
 
 
-def _grid_point(r: int, n: int) -> str:
-    """r/n in lowest terms with numerator in (-n/2, n/2], as UnitRational writes it."""
-    r %= n
-    if 2 * r > n:
-        r -= n
-    if r == 0:
-        return "0"
-    g = gcd(r, n)
-    return f"{r // g}/{n // g}"
-
-
 Carrier = Literal["grid", "cyclic"]
 
 # the JSON key that names the modulus, per carrier
@@ -226,10 +216,7 @@ class ResidueSet:
         if self.carrier == "cyclic":
             return list(residues)
         n = self.modulus
-        try:
-            return [_grid_point(r, n) for r in residues]
-        except ValueError as exc:
-            raise too_long_to_print(n) from exc
+        return [render_point(r, n) for r in residues]
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,14 @@ def describe_int(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"
 
 
-def quote_input(text: str, limit: int = 60) -> str:
-    """text quoted for a message; past limit characters, a prefix and the length."""
-    if len(text) <= limit:
+_QUOTE_LIMIT = 60
+
+
+def quote_input(text: str) -> str:
+    """text quoted for a message; past 60 characters, a prefix and the length."""
+    if len(text) <= _QUOTE_LIMIT:
         return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 def too_long_to_print(n: int) -> InvalidInputError:

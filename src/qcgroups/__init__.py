@@ -7,8 +7,7 @@ integer/rational arithmetic; results are exact and deterministic.
 
 from .circle import RationalIntervalUnion, UnitRational, tm_interval
 from .duality import (HullReport, ResidueSet, char_polar_intervals,
-                      check_two_x_equivalence, hull, polar, pushforward_check,
-                      trace_subgroup)
+                      check_two_x_equivalence, hull, polar, pushforward_check)
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, Verdict, WitnessRecipe,
                        necessary_report_R, necessary_report_T, points_K2,
@@ -26,7 +25,6 @@ __all__ = [
     "RationalIntervalUnion", "UnitRational", "tm_interval",
     "HullReport", "ResidueSet", "char_polar_intervals",
     "check_two_x_equivalence", "hull", "polar", "pushforward_check",
-    "trace_subgroup",
     "InvalidInputError",
     "DivisibleChain", "GapSequence", "Verdict", "WitnessRecipe",
     "necessary_report_R", "necessary_report_T", "points_K2", "points_K3",

@@ -22,9 +22,12 @@ Both kernels shrink a candidate array: polar_residues keeps the
 characters that pass every element so far, and hull_residues the points
 that pass every character so far, so each pass runs only over the
 survivors.  The polar is walked in ascending order, which is why every
-witness is the smallest character that excludes its point.
-For n <= 64 a subset of Z(n) fits in one uint64, and hull_masks /
-image_masks take the hulls and images of whole arrays of subsets at once.
+witness is the smallest character that excludes its point.  Single CLI
+calls use these kernels; sweeps that repeat one modulus read the cached
+char_table(n), n <= 4096, whose row k packs the points p with k*p/n in
+T_+: a polar is an AND of rows and table_hull a second AND.  For n <= 64
+a row is one uint64, and hull_masks / image_masks take the hulls and
+images of whole arrays of subsets at once.
 
 The polar inside T of finite integer characters is a union of closed
 intervals; polar_sweep computes it on integers, for char_polar_intervals
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Literal
 
@@ -46,6 +50,7 @@ from .errors import InvalidInputError, describe_int
 
 # products k*j with k, j < n must fit in int64
 _NUMPY_SAFE_MODULUS = 3_000_000_000
+_TABLE_MAX_MODULUS = 4096       # char_table holds n*n/8 bytes: 2 MiB at the cap
 
 
 def in_t_plus(r, n):
@@ -125,6 +130,30 @@ def hull_contains(n: int, gens: Iterable[int], target: int) -> bool:
     return all(in_t_plus(k * target % n, n) for k in polar)
 
 
+@lru_cache(maxsize=2)        # the quotient check alternates n and n/d
+def char_table(n: int) -> np.ndarray:
+    """Read-only, symmetric n x ceil(n/8) uint8 table: row k packs {p : k*p/n in T_+}, bit p."""
+    _checked_modulus(n, _TABLE_MAX_MODULUS)
+    ar = np.arange(n, dtype=np.int64)
+    table = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    for b in range(0, n, 128):          # in blocks: no n x n int64 product is held
+        ok = in_t_plus(np.outer(ar[b:b + 128], ar) % n, n)
+        table[b:b + 128] = np.packbits(ok, axis=1, bitorder="little")
+    table.flags.writeable = False
+    return table
+
+
+def table_hull(n: int, elems: Iterable[int]) -> np.ndarray:
+    """Boolean membership vector of hull(elems) in Z(n), from char_table(n); no witnesses."""
+    T = char_table(n)
+    idx = sorted({e % n for e in elems})
+    if not idx:
+        raise InvalidInputError("polar of the empty set is not defined here")
+    ks = np.flatnonzero(np.unpackbits(np.bitwise_and.reduce(T[idx]), count=n, bitorder="little"))
+    hull_row = np.bitwise_and.reduce(T[ks[2 * ks <= n]])
+    return np.unpackbits(hull_row, count=n, bitorder="little").view(bool)
+
+
 # ------------------------------------------------- batched masks, n <= 64
 
 _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -132,23 +161,21 @@ _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 def _bytewise(op, identity, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """op over rows[j] for the set bits j of every mask, one table gather per byte."""
-    out = None
+    out, mask_bytes = None, np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
     for b in range(0, len(rows), 8):
         table = np.empty(256, dtype=np.uint64)
         table[0] = identity
         for i in range(8):
             row = rows[b + i] if b + i < len(rows) else identity
             op(table[:1 << i], row, out=table[1 << i:2 << i])
-        part = table[(masks >> np.uint64(b)) & np.uint64(0xFF)]
+        part = table[mask_bytes[..., b // 8::8]]          # byte b/8 of every mask, no copy
         out = part if out is None else op(out, part, out=out)
     return out
 
 
 def _polar_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    ar = np.arange(n, dtype=np.int64)
-    ok = in_t_plus(np.outer(ar, ar) % n, n)
-    rows = np.bitwise_or.reduce(ok.astype(np.uint64) << ar.astype(np.uint64), axis=1)
-    return _bytewise(np.bitwise_and, _ALL_BITS, rows, masks)
+    rows = np.pad(char_table(n), ((0, 0), (0, 8 - (n + 7) // 8)))     # one uint64 per row
+    return _bytewise(np.bitwise_and, _ALL_BITS, rows.view("<u8").ravel(), masks)
 
 
 def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
@@ -254,7 +281,7 @@ def hull(E: ResidueSet) -> HullReport:
 
 
 def pushforward_check(E: ResidueSet, d: int) -> bool:
-    """True iff the quotient q: Z(n) -> Z(n/d) maps hull(E) into hull(q(E)).
+    """True iff the quotient q: Z(n) -> Z(n/d) maps hull(E) into hull(q(E)), n <= 4096.
 
     This inclusion is a theorem for continuous homomorphisms, so a False
     return flags an implementation bug rather than a mathematical fact.
@@ -265,14 +292,8 @@ def pushforward_check(E: ResidueSet, d: int) -> bool:
     if d < 1 or n % d:
         raise InvalidInputError(f"{d} does not divide the order {n}")
     m = n // d
-    src_hull, _ = hull_residues(n, E.residues)
-    dst_hull, _ = hull_residues(m, {p % m for p in E.residues})
-    return all(h % m in dst_hull for h in src_hull)
-
-
-def trace_subgroup(n: int, x: int) -> ResidueSet:
-    """Tr_x(Z(n)) = {chi(x) : chi in the dual} = the subgroup <x/n> of T, on the grid mod n."""
-    return ResidueSet(n, [k * x for k in range(n)], "grid")
+    src_hull = np.flatnonzero(table_hull(n, E.residues))
+    return bool(table_hull(m, E.residues)[src_hull % m].all())
 
 
 @dataclass(frozen=True)
@@ -290,13 +311,15 @@ class TwoXReport:
 
 
 def check_two_x_equivalence(n: int, x: int) -> TwoXReport:
-    """Conditions (i)-(iv) for x in Z(n); (ii)-(iv) are read off residues r of r/n."""
-    _checked_modulus(n)
+    """Conditions (i)-(iv) for x in Z(n), n <= 4096; (ii)-(iv) are read off residues r of r/n.
+
+    (i) is "the polar of {x, 3x} lies in row 2x of char_table(n)"; the traces Tr_x
+    and Tr_2x, all multiples of gcd(x, n) and of gcd(2x, n), are enumerated in full."""
+    T = char_table(n)
     x %= n
-    i = hull_contains(n, {x, (3 * x) % n}, (2 * x) % n)
-    tr_x = trace_subgroup(n, x).residues
+    i = not np.any(T[x] & T[3 * x % n] & ~T[2 * x % n])
+    tr_x, tr_2x = range(0, n, gcd(x, n)), range(0, n, gcd(2 * x, n))
     ii = not any(4 * r in (n, 3 * n) for r in tr_x)         # r/n = +-1/4
-    tr_2x = trace_subgroup(n, (2 * x) % n).residues
     iii = not any(2 * r == n for r in tr_2x)                # r/n = 1/2
     iv = not any(r and 2 * r % n == 0 for r in tr_2x)       # r/n + r/n = 0
     return TwoXReport(i, ii, iii, iv)

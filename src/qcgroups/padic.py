@@ -128,9 +128,10 @@ def compute_Jm(a: GapSequence, m: int, k_max: int, kind: FamilyKind) -> frozense
 
     T3 pairs m*eta_k with 3^-(a_n+1) and J3 pairs m*zeta_k with 3^(a_n);
     either value is m*3^i / 3^(j+1), with (i, j) = (k, a_n) on T3 and
-    (a_n, k) on J3.  For m in {1, 2} the result is the complement of the
-    entries of `a` in [0, k_max].  Residues stay Python ints: 3^k outgrows
-    int64 for large k_max.
+    (a_n, k) on J3.  That is 0 when d = j+1-i <= 0 and m/3^d otherwise;
+    for m in {1, 2}, m/3^d is reduced and in_t_plus(m, 3^min(d, 2))
+    decides it exactly, so no test builds 3^k.  The result is the
+    complement of the entries of `a` in [0, k_max].
     """
     _carrier(kind)
     if m not in (1, 2):
@@ -141,7 +142,7 @@ def compute_Jm(a: GapSequence, m: int, k_max: int, kind: FamilyKind) -> frozense
 
     def in_polar(k: int) -> bool:
         pairs = [(k, an) if kind == "T3" else (an, k) for an in a.entries]
-        return all(in_t_plus(m * 3 ** i % 3 ** (j + 1), 3 ** (j + 1)) for i, j in pairs)
+        return all(j + 1 - i <= 0 or in_t_plus(m, 3 ** min(j + 1 - i, 2)) for i, j in pairs)
 
     return frozenset(k for k in range(k_max + 1) if in_polar(k))
 

@@ -11,11 +11,29 @@ import pytest
 from qcgroups.acceptance import CRITERIA
 
 
+# what each criterion reports when it passes: the size of every sweep
+DETAILS = {
+    "criterion-01": "338350 (h1,h2) pairs plus 4h/5h sweeps",
+    "criterion-02": "20100 (n,x) pairs",
+    "criterion-03": "[-1/4,-7/32]∪[-1/32,1/32]∪[7/32,1/4]",
+    "criterion-04": "hull == set on grid 3^9; 72 certificates verified",
+    "criterion-05": "both contaminations exhibited on their grids",
+    "criterion-06": "20 certificates verified; contamination at levels 2..6",
+    "criterion-07": "4 sequences, both carriers",
+    "criterion-08": "4 sequences, both sides, k through a_max+2",
+    "criterion-09": "385 sequences on the circle, 385 on the line",
+    "criterion-10": "named chains plus 12 patterned chains, T and R",
+    "criterion-11": "4563339 (E, f) pairs",
+    "criterion-12": "31404 quasi-convex premises discharged",
+}
+
+
 @pytest.mark.parametrize("ident", sorted(CRITERIA))
 def test_criterion(ident):
     result = CRITERIA[ident][1]()
     print(result.line())
     assert result.passed, result.line()
+    assert result.detail == DETAILS[ident]
 
 
 def test_grid_residue_rejects_off_grid_points():
@@ -97,10 +115,39 @@ def test_sweeps_catch_one_wrong_pairing(monkeypatch, n, k, j, detail11, detail12
             ok[k, j] = ok[j, k] = not ok[k, j]
         return ok
 
+    # char_table caches its tables: build them afresh from the corrupted
+    # pairing, and drop them afterwards so no later test reads one
+    duality.char_table.cache_clear()
     monkeypatch.setattr(duality, "in_t_plus", corrupted)
-    r11, r12 = acceptance.criterion_11(), acceptance.criterion_12()
+    try:
+        r11, r12 = acceptance.criterion_11(), acceptance.criterion_12()
+    finally:
+        duality.char_table.cache_clear()
     assert (r11.passed, r11.detail) == (False, detail11)
     assert (r12.passed, r12.detail) == (False, detail12)
+
+
+def test_multiplication_sweep_reports_the_first_failing_set(monkeypatch):
+    """Criterion-11 takes the maps k in blocks, yet names the first failing set, then its first k.
+
+    Dropping 1/2 from the hull of every image at n = 48 fails E = {+-1} at
+    k = 24, and E = {+-2} already at k = 12, in an earlier block.
+    """
+    import numpy as np
+
+    from qcgroups import acceptance
+
+    real = acceptance.hull_masks
+
+    def dropped(n, masks):
+        out = real(n, masks)
+        if n == 48 and masks.ndim == 2:          # the hulls of the images only
+            out = out & ~np.uint64(1 << 24)
+        return out
+
+    monkeypatch.setattr(acceptance, "hull_masks", dropped)
+    r = acceptance.criterion_11()
+    assert (r.passed, r.detail) == (False, "multiplication failed: n=48, E=(1,), k=24")
 
 
 def test_division_sets_follow_the_loop_order():

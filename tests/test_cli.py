@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,17 @@ def test_q12_and_jm(capsys):
     code, out, _ = run(capsys, "jm", "--family", "J3", "--seq", "0,2,4",
                        "--m", "2", "--kmax", "5")
     assert json.loads(out)["members"] == [1, 3, 5]
+
+
+def test_jm_builds_no_big_powers(capsys):
+    # a J_m test that built 3^k for every k would take seconds here, quadratic in k_max
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "jm", "--family", "J3", "--seq", "1,3", "--m", "2",
+                       "--kmax", "30000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    members = json.loads(out)["members"]
+    assert len(members) == 29999 and 1 not in members and 3 not in members
 
 
 def test_certificate_round_trip(tmp_path, capsys):

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcgroups.circle import UnitRational, tm_interval
-from qcgroups.duality import (ResidueSet, char_polar_intervals,
+from qcgroups.duality import (ResidueSet, char_polar_intervals, char_table,
                               check_two_x_equivalence, hull, hull_contains,
                               hull_masks, hull_residues, image_masks, in_t_plus,
                               polar, polar_residues, polar_sweep,
-                              pushforward_check, trace_subgroup)
+                              pushforward_check, table_hull)
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -134,6 +134,7 @@ def test_kernel_matches_dense_oracle(n, elems):
     assert got == hull_set
     assert witnesses == {p: min(k for k in polar_set if not inside(k * p))
                          for p in range(n) if p not in hull_set}
+    assert set(np.flatnonzero(table_hull(n, elems)).tolist()) == hull_set
 
 
 def _bits(mask, n):
@@ -163,6 +164,25 @@ def test_hull_masks_match_hull_residues(n, raw, k):
         assert _bits(img, n) == {k * j % n for j in elems}
 
 
+def test_char_table_rows_match_the_outer_product():
+    # n <= 64: the uint64 rows hull_masks used to build itself
+    for n in range(1, 65):
+        ar = np.arange(n, dtype=np.int64)
+        ok = in_t_plus(np.outer(ar, ar) % n, n)
+        old = np.bitwise_or.reduce(ok.astype(np.uint64) << ar.astype(np.uint64), axis=1)
+        padded = np.zeros((n, 8), dtype=np.uint8)
+        padded[:, :(n + 7) // 8] = char_table(n)
+        assert np.array_equal(padded.view("<u8").ravel(), old), n
+    # moduli that end inside or on the edge of a 128-row block
+    for n in (127, 128, 129, 255, 256, 257, 300):
+        ar = np.arange(n, dtype=np.int64)
+        T = char_table(n)
+        assert T.shape == (n, (n + 7) // 8)
+        bits = np.unpackbits(T, axis=1, bitorder="little")
+        assert not bits[:, n:].any()                 # padding stays clear
+        assert np.array_equal(bits[:, :n].view(bool), in_t_plus(np.outer(ar, ar) % n, n)), n
+
+
 def test_in_t_plus_on_ints_and_arrays():
     n = 12
     expected = [r for r in range(n) if 4 * min(r, n - r) <= n]
@@ -181,6 +201,11 @@ def test_kernel_rejects_bad_moduli():
             hull_contains(n, [1], 1)
         with pytest.raises(InvalidInputError):
             check_two_x_equivalence(n, 1)
+    for n in (0, -3, 4097):
+        with pytest.raises(InvalidInputError):
+            char_table(n)
+    with pytest.raises(ValueError):
+        char_table(12)[1, 0] = 0                     # the cached table is read-only
     with pytest.raises(InvalidInputError):
         polar_residues(3 ** 21, [1])
     with pytest.raises(InvalidInputError):
@@ -198,6 +223,8 @@ def test_pushforward_examples():
         pushforward_check(grid(8, 1), 2)
     with pytest.raises(InvalidInputError):
         pushforward_check(zn(27, 1), 5)
+    with pytest.raises(InvalidInputError):
+        pushforward_check(zn(3 ** 8, 1, 3), 3)       # beyond the table cap
 
 
 def test_pushforward_small_exhaustive():
@@ -210,13 +237,7 @@ def test_pushforward_small_exhaustive():
                         assert pushforward_check(zn(n, *E), d)
 
 
-# ------------------------------------------------------------------ traces
-
-
-def test_trace_subgroup_examples():
-    assert trace_subgroup(4, 1).residues == {0, 1, 2, 3}       # 0, +-1/4, 1/2
-    assert trace_subgroup(12, 3).residues == {0, 3, 6, 9}
-    assert len(trace_subgroup(9, 2).residues) == 9
+# ------------------------------------------------------------------ two-x
 
 
 def test_two_x_equivalence_examples():
@@ -236,6 +257,7 @@ def test_two_x_equivalence_small_sweep():
         for x in range(n):
             rep = check_two_x_equivalence(n, x)
             assert rep.all_agree()
+            assert rep.hull_membership == hull_contains(n, {x, 3 * x % n}, 2 * x % n)
             tr_x = {UnitRational(k * x, n) for k in range(n)}
             tr_2x = {UnitRational(k * 2 * x, n) for k in range(n)}
             assert rep.quarter_not_in_trace == (quarter not in tr_x and -quarter not in tr_x)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcgroups.circle import UnitRational
-from qcgroups.duality import ResidueSet, polar_residues
+from qcgroups.duality import ResidueSet, in_t_plus, polar_residues
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence
 from qcgroups.padic import (PadicTruncGroup, PruferChar, compute_Jm,
@@ -82,6 +82,23 @@ def test_Jm_complement_property():
         for kind in ("T3", "J3"):
             assert compute_Jm(a, 1, k_max, kind) == expected
             assert compute_Jm(a, 2, k_max, kind) == expected
+
+
+def _big_power_Jm(a, m, k_max, kind):
+    """m*3^i / 3^(j+1) reduced mod 3^(j+1) and tested as it stands, one big power per k."""
+    def ok(k):
+        pairs = [(k, an) if kind == "T3" else (an, k) for an in a.entries]
+        return all(in_t_plus(m * 3 ** i % 3 ** (j + 1), 3 ** (j + 1)) for i, j in pairs)
+    return frozenset(k for k in range(k_max + 1) if ok(k))
+
+
+@pytest.mark.parametrize("kind", ["T3", "J3"])
+def test_Jm_matches_the_big_power_test(kind):
+    seqs = [GapSequence(c) for r in range(1, 4) for c in combinations(range(9), r)]
+    for a in seqs:
+        for m in (1, 2):
+            for k_max in (0, a.entries[-1], 40):
+                assert compute_Jm(a, m, k_max, kind) == _big_power_Jm(a, m, k_max, kind), (a, m)
 
 
 # ------------------------------------------------------------ epsilon / Q12

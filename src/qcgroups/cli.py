@@ -313,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="human-oriented text output instead of canonical JSON")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    rationals = "exact rational(s), e.g. --set=-1/2,1/3 or --target=-2/7 (a leading minus needs '=')"
 
     p = sub.add_parser("polar-t", parents=[common], help="polar of a grid set in T")
     p.add_argument("--set", required=True, help="comma-separated rationals, e.g. 0,1/8,-1/8")
@@ -335,16 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hull_j3)
 
     p = sub.add_parser("polar-r", parents=[common], help="periodic polar of a finite set in R")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", required=True, help=rationals)
     p.set_defaults(func=cmd_polar_r)
 
     p = sub.add_parser("hull-r", parents=[common], help="quasi-convex hull in R")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", required=True, help=rationals)
     p.set_defaults(func=cmd_hull_r)
 
     p = sub.add_parser("member-r", parents=[common], help="exact hull membership in R")
-    p.add_argument("--set", required=True)
-    p.add_argument("--target", required=True)
+    p.add_argument("--set", required=True, help=rationals)
+    p.add_argument("--target", required=True, help=rationals)
     p.set_defaults(func=cmd_member_r)
 
     p = sub.add_parser("family-verdict", parents=[common],

@@ -30,8 +30,8 @@ a row is one uint64, and hull_masks / image_masks take the hulls and
 images of whole arrays of subsets at once.
 
 The polar inside T of finite integer characters is a union of closed
-intervals; polar_sweep computes it on integers, for char_polar_intervals
-here and, scaled by the period, for realline.polar_R.
+intervals; polar_sweep_pairs computes it on integers, for realline.polar_R,
+and polar_sweep writes it out exactly for char_polar_intervals.
 """
 
 from __future__ import annotations
@@ -61,15 +61,13 @@ def in_t_plus(r, n):
     return (4 * r <= n) | (4 * (n - r) <= n)
 
 
-def polar_sweep(cs: Iterable[int], lo: Fraction, hi: Fraction,
-                scale: int = 1) -> RationalIntervalUnion:
-    """{t in [lo, hi] : c*t in T_+ for every c in cs}, endpoints multiplied by scale.
+def polar_sweep_pairs(cs: Iterable[int], lo: Fraction, hi: Fraction) -> tuple[list, int]:
+    """{t in [lo, hi] : c*t in T_+ for every c in cs}: pairs (x, y), each [x/L, y/L].
 
     cs are positive integers and lo, hi multiples of 1/4.  The sweep runs
     on integers over L = 4*lcm(cs): character c contributes the pieces
     [(4j-1)*L/4c, (4j+1)*L/4c] that meet the window, one sorted list per
-    character, intersected in turn.  Fractions are built only for the
-    result.
+    character, intersected in turn.  Returns (pairs, L).
     """
     cs = sorted(set(cs))
     L = 4 * lcm(*cs)
@@ -83,8 +81,13 @@ def polar_sweep(cs: Iterable[int], lo: Fraction, hi: Fraction,
         js = range(-((m - a) // (4 * m)), (b + m) // (4 * m) + 1)     # pieces meeting [a, b]
         acc = intersect_pairs(acc, [(max((4 * j - 1) * m, a), min((4 * j + 1) * m, b))
                                     for j in js])
-    return RationalIntervalUnion(tuple((Fraction(x * scale, L), Fraction(y * scale, L))
-                                       for x, y in acc))
+    return acc, L
+
+
+def polar_sweep(cs: Iterable[int], lo: Fraction, hi: Fraction) -> RationalIntervalUnion:
+    """polar_sweep_pairs as exact intervals; Fractions are built only here."""
+    pairs, L = polar_sweep_pairs(cs, lo, hi)
+    return RationalIntervalUnion(tuple((Fraction(x, L), Fraction(y, L)) for x, y in pairs))
 
 
 def _checked_modulus(n: int, limit: int = _NUMPY_SAFE_MODULUS) -> None:

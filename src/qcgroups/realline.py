@@ -5,13 +5,14 @@ of a finite rational set S is a countable union of closed intervals that
 repeats with period D, the common denominator of S: shifting y by D moves
 every yx by an integer.  One period is stored exactly.  With y = D*t it
 is D times the circle polar of the integer characters c = D*|x| on the
-window t in [0, 1], so polar_R is duality.polar_sweep on that window.
+window t in [0, 1], so polar_R keeps duality.polar_sweep_pairs on it.
 
 Hull membership is decidable: the shifts k*D*z mod 1 are the multiples
 j/N, N = denominator(D*z), so z is in the hull iff z * (one period) + j/N
-stays inside T_+ mod 1 for every j.  For one interval image [a, b] the
-good shifts form a single arc, so PeriodicPolar.member finds its first
-bad j in closed form: one pass per polar interval, whatever N is.
+stays inside T_+ mod 1 for every j.  On the sweep's integer pairs over
+M = v*L (z = u/v) the good shifts of each interval form one arc, so
+PeriodicPolar.member finds the first bad j in closed form, one pass per
+interval whatever N is; Fractions are built only for the witness.
 
 The full hull is recovered through the circle: scale S into (-1/2, 1/2)
 by a power of two, push down to a grid in T, take the grid hull there,
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
 from .circle import HALF, RationalIntervalUnion, render_rational
-from .duality import ResidueSet, hull, polar_sweep
+from .duality import ResidueSet, hull, in_t_plus, polar_sweep_pairs
 from .errors import InvalidInputError
 
 QUARTER = Fraction(1, 4)
@@ -61,14 +63,21 @@ class RealFiniteSet:
 
 @dataclass(frozen=True)
 class PeriodicPolar:
-    """A period-D union of closed rational intervals; one period stored on [0, D].
+    """A period-D union of closed intervals; one period is the pairs' [x*D/L, y*D/L].
 
     An interval reaching the right edge D denotes the same points as one
     starting at 0 shifted by the period; contains() accounts for that.
     """
 
     period: Fraction
-    one_period: RationalIntervalUnion
+    pairs: tuple[tuple[int, int], ...]
+    L: int
+
+    @cached_property
+    def one_period(self) -> RationalIntervalUnion:
+        D, L = self.period.numerator, self.L
+        return RationalIntervalUnion(tuple((Fraction(x * D, L), Fraction(y * D, L))
+                                           for x, y in self.pairs))
 
     def contains(self, y: Fraction | int) -> bool:
         r = Fraction(y) % self.period
@@ -78,20 +87,21 @@ class PeriodicPolar:
         """z in the hull of any set with this polar, with a re-verified witness on Out."""
         D = self.period
         n = (D * z).denominator             # kDz mod 1 hits j/n, all j
-        images = [sorted((z * lo, z * hi)) for lo, hi in self.one_period.intervals]
-        bad = [(j, i) for i, (a, b) in enumerate(images)
-               if (j := _first_bad_shift(a, b, n)) is not None]
+        c, M = z.numerator * D.numerator, z.denominator * self.L   # z*x*D/L = c*x/M
+        lo, hi = (0, 1) if c >= 0 else (1, 0)    # the ends of each image, in order
+        bad = [(j, i) for i, p in enumerate(self.pairs)
+               if (j := _first_bad_shift(c * p[lo], c * p[hi], n, M)) is not None]
         if not bad:
             return HullMembership(True)
         j, i = min(bad)                     # smallest j, ties to the lower interval
-        a, b = images[i]
+        a, b = Fraction(c * self.pairs[i][lo], M), Fraction(c * self.pairs[i][hi], M)
         s = Fraction(j, n)
         k_j = j * pow((D * z).numerator, -1, n) % n  # k_j D z = s mod 1
         y = (_bad_point_in(a + s, b + s) - s) / z + k_j * D
-        # re-verify before reporting
+        # re-verify before reporting, independently of the search above
         if not self.contains(y):
             raise RuntimeError("witness fell outside the polar; implementation bug")
-        if _first_bad_shift(y * z, y * z, 1) is None:
+        if in_t_plus((w := y * z).numerator % w.denominator, w.denominator):
             raise RuntimeError("witness does not exclude; implementation bug")
         return HullMembership(False, y)
 
@@ -115,30 +125,26 @@ class HullMembership:
 
 def polar_R(S: RealFiniteSet) -> PeriodicPolar:
     """{y : yx in T_+ for every x in S}, exactly, one period at a time."""
-    nonzero = {abs(p) for p in S.points if p != 0}
-    if not nonzero:
-        return PeriodicPolar(Fraction(1),
-                             RationalIntervalUnion.from_pairs([(0, 1)]))
-    D = S.common_denominator
-    return PeriodicPolar(Fraction(D),
-                         polar_sweep({(x * D).numerator for x in nonzero}, 0, 1, scale=D))
+    D = S.common_denominator            # all zero: no characters, pairs ((0, 4),) over 4
+    pairs, L = polar_sweep_pairs({abs(x * D).numerator for x in S.points if x}, 0, 1)
+    return PeriodicPolar(Fraction(D), tuple(pairs), L)
 
 
-def _first_bad_shift(a: Fraction, b: Fraction, n: int) -> Optional[int]:
-    """Smallest j in [0, n) with [a, b] + j/n not inside T_+ + Z, or None.
+def _first_bad_shift(a: int, b: int, n: int, M: int) -> Optional[int]:
+    """Smallest j in [0, n) with [a/M, b/M] + j/n not inside T_+ + Z, or None.
 
-    The good shifts form the arc [g0, g1] + Z of length 1/2 - (b - a).
-    With g0 <= 0 <= g1 < 1, the first shift past g1 is bad unless it is
-    in the next copy [g0 + 1, g1 + 1], which then holds every j/n < 1.
+    Over M (4 | M) the good shifts form the arc [g0, g1] + MZ of length
+    M/2 - (b - a).  With g0 <= 0 <= g1 < M, the first shift past g1 is bad
+    unless it is in the next copy [g0 + M, g1 + M], holding every j/n < 1.
     """
-    if b - a > HALF:
+    if 2 * (b - a) > M:
         return 0
-    g1 = (QUARTER - b) % 1
-    g0 = g1 - (HALF - (b - a))
+    g1 = (M // 4 - b) % M
+    g0 = g1 - (M // 2 - (b - a))
     if g0 > 0:
         return 0
-    j1 = g1 * n // 1 + 1
-    return j1 if j1 < n and Fraction(j1, n) < g0 + 1 else None
+    j1 = g1 * n // M + 1
+    return j1 if j1 < n and j1 * M < (g0 + M) * n else None
 
 
 def _bad_point_in(A: Fraction, B: Fraction) -> Fraction:

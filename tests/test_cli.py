@@ -255,6 +255,12 @@ GOLDEN = [
      "a349172271b655e0cac768a5fe369a76be53d5223582c1c4a2ec94cf6c41892c"),
     (["member-r", "--set", "1/3,1/7", "--target", "5/10000019"],
      "3928290e026d5a74161e09204fca9923a19d342a29f006b54d07f4ed9ff30c3e"),
+    # negative values need the "=" form; Out, witness 39/16
+    (["member-r", "--set=-1/3,1/3", "--target=-2/7"],
+     "980d1c928653baa56111bd78d3403531dae1606c7b021cca569bbd3711badd01"),
+    # 6 s on Fraction arithmetic, under 1 s on the sweep's integer pairs
+    (["hull-r", "--set", "1/3,1/65537"],
+     "ecf870e70f82394d38e876fd2f910a586546fd03b3ecaa89d2ad2bce7c1f80a0"),
 ]
 
 
@@ -263,6 +269,17 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, options", [("polar-r", ["--set"]), ("hull-r", ["--set"]),
+                                              ("member-r", ["--set", "--target"])])
+def test_real_line_help_names_the_equals_form(capsys, command, options):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for option in options:
+        assert f"{option} {option[2:].upper()} exact rational(s)" in out
+    assert "--target=-2/7" in out
 
 
 def test_safety_bound_env_override(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from qcgroups.circle import UnitRational, tm_interval
 from qcgroups.duality import (ResidueSet, char_polar_intervals, char_table,
                               check_two_x_equivalence, hull, hull_contains,
                               hull_masks, hull_residues, image_masks, in_t_plus,
-                              polar, polar_residues, polar_sweep,
+                              polar, polar_residues, polar_sweep, polar_sweep_pairs,
                               pushforward_check, table_hull)
 from qcgroups.errors import InvalidInputError
 
@@ -285,8 +285,9 @@ def test_char_polar_interval_constants():
 def test_polar_sweep_window_and_scale():
     # no characters: the whole window; endpoints scale exactly
     assert polar_sweep([], F(-1, 2), F(1, 2)).intervals == ((F(-1, 2), F(1, 2)),)
-    assert polar_sweep([2], 0, 1, scale=6).intervals == (
-        (F(0), F(3, 4)), (F(9, 4), F(15, 4)), (F(21, 4), F(6)))
+    assert polar_sweep_pairs([2], 0, 1) == ([(0, 1), (3, 5), (7, 8)], 8)
+    assert polar_sweep([2], 0, 1).intervals == (
+        (F(0), F(1, 8)), (F(3, 8), F(5, 8)), (F(7, 8), F(1)))
     with pytest.raises(InvalidInputError):
         polar_sweep([3], F(0), F(1, 8))      # 1/8 is off the 1/12 grid
 

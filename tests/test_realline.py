@@ -150,14 +150,66 @@ def test_member_matches_the_shift_loop_densely():
 
 def test_first_bad_shift_matches_every_shift():
     # the second-copy clause only decides n = 2 with a point image on 1/4 + Z,
-    # which no polar_R polar produces, so it is checked here directly
-    grid = [F(k, 8) for k in range(-12, 13)]
+    # which no polar_R polar produces, so it is checked here directly;
+    # the grid point k/8 is passed as the numerator k over M = 8
+    grid = range(-12, 13)
     for a in grid:
         for b in (b for b in grid if b >= a):
             for n in range(1, 9):
                 bad = [j for j in range(n)
-                       if not _interval_in_Tplus_mod1(a + F(j, n), b + F(j, n))]
-                assert _first_bad_shift(a, b, n) == (bad[0] if bad else None), (a, b, n)
+                       if not _interval_in_Tplus_mod1(F(a, 8) + F(j, n), F(b, 8) + F(j, n))]
+                assert _first_bad_shift(a, b, n, 8) == (bad[0] if bad else None), (a, b, n)
+
+
+@given(st.sets(st.tuples(st.integers(-32, 32), st.integers(1, 16)), min_size=1, max_size=3),
+       st.integers(-120, 120), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_member_matches_the_shift_loop_on_random_sets(raw, zn, zd):
+    polar = polar_R(RealFiniteSet(frozenset(F(p, q) for p, q in raw)))
+    z = F(zn, zd)
+    assert polar.member(z) == shift_loop_member(polar, z)[0], (raw, z)
+
+
+def test_member_on_the_polar_of_zero():
+    polar = polar_R(S(0))
+    assert (polar.period, polar.pairs, polar.L) == (1, ((0, 4),), 4)
+    assert str(polar.one_period) == "[0,1]"
+    assert polar.member(F(1, 3)) == HullMembership(False, F(7, 8))
+    assert polar.member(F(1, 3)) == shift_loop_member(polar, F(1, 3))[0]
+    assert member_hull_R(S(0), F(1, 3)) == HullMembership(False, F(3, 2))
+
+
+def _rejected_witnesses(polar, targets):
+    """Messages of the RuntimeErrors member raises; every witness it does return is checked."""
+    messages = []
+    for z in targets:
+        try:
+            res = polar.member(z)
+        except RuntimeError as err:
+            messages.append(str(err))
+            continue
+        if not res.inside:
+            assert polar.contains(res.witness) and not in_Tplus(res.witness * z), z
+    return messages
+
+
+def test_member_rechecks_do_not_trust_the_search(monkeypatch):
+    polar = polar_R(S(F(1, 6), F(1, 2), 1))
+    targets = [F(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1) if p]
+    assert _rejected_witnesses(polar, targets) == []
+    # a search one shift off: the next shift after the first bad one, wrapped
+    # back to 0 at n, and shift 0 for an interval with no bad shift at all
+    real = realline._first_bad_shift
+
+    def off_by_one(a, b, n, M):
+        j = real(a, b, n, M)
+        return 0 if j is None else (j + 1) % n
+
+    monkeypatch.setattr(realline, "_first_bad_shift", off_by_one)
+    assert _rejected_witnesses(polar, targets)
+    # a bad point that is good: only the exclusion re-check can see it
+    monkeypatch.setattr(realline, "_bad_point_in", lambda A, B: A)
+    assert "witness does not exclude; implementation bug" in _rejected_witnesses(polar, targets)
 
 
 # ------------------------------------------------------------------- hulls

@@ -25,7 +25,7 @@ import numpy as np
 from .circle import UnitRational, tm_interval
 from .duality import (ResidueSet, char_polar_intervals, char_table,
                       check_two_x_equivalence, hull, hull_contains, hull_masks,
-                      hull_residues, image_masks, pushforward_check)
+                      hull_residues, image_masks, pushforward_check, table_hull)
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, points_K2, points_K3, points_R2,
@@ -225,6 +225,10 @@ def criterion_08() -> CriterionResult:
     return _ok(ident, desc, "4 sequences, both sides, k through a_max+2", t0)
 
 
+def _grid_is_quasi_convex(E: ResidueSet) -> bool:
+    return set(np.flatnonzero(table_hull(E.modulus, E.residues)).tolist()) == E.residues
+
+
 def criterion_09() -> CriterionResult:
     ident, desc = "criterion-09", "dyadic verdicts agree with brute force (T via grids, R via hull_R), entries <= 9, length <= 4"
     t0 = time.time()
@@ -235,7 +239,7 @@ def criterion_09() -> CriterionResult:
         v = verdict_T2(a)
         if v.is_quasi_convex:
             for tlen in range(1, len(a) + 1):
-                if not hull(points_K2(a.prefix(tlen))).is_quasi_convex():
+                if not _grid_is_quasi_convex(points_K2(a.prefix(tlen))):
                     return _fail(ident, desc,
                                  f"T2 verdict QC but truncation {a.entries[:tlen]} is not", t0)
         else:
@@ -250,12 +254,11 @@ def criterion_09() -> CriterionResult:
                     for i in range(recipe.terms_needed - len(a))))
             w = recipe.witness_point(work)
             E = points_K2(work.prefix(recipe.terms_needed))
-            rep = hull(E)
             res = _grid_residue(w, E.modulus)
             full = points_K2(work)
-            if (res not in rep.hull.residues or res in E.residues
+            if (not table_hull(E.modulus, E.residues)[res] or res in E.residues
                     or _grid_residue(w, full.modulus) in full.residues
-                    or (work is a and hull(full).is_quasi_convex())):
+                    or (work is a and _grid_is_quasi_convex(full))):
                 return _fail(ident, desc, f"T2 witness failed for a={a.entries}", t0)
         checked_t += 1
 
@@ -356,9 +359,11 @@ def criterion_11() -> CriterionResult:
         failed = []
         for lo in range(0, n, 16):          # 16 maps at a time, to bound peak memory
             ks = range(lo, min(lo + 16, n))
-            img = np.stack([image_masks(n, sets, k) for k in ks], axis=1)
-            mapped = np.stack([image_masks(n, hull_e, k) for k in ks], axis=1)
-            failed += [(s, ks[i]) for s, i in np.argwhere(mapped & ~hull_masks(n, img))[:1]]
+            img = image_masks(n, sets, ks)
+            uniq, inv = np.unique(img, return_inverse=True)     # one hull per distinct image
+            hull_img = hull_masks(n, uniq)[inv.reshape(img.shape)]
+            mapped = image_masks(n, hull_e, ks)
+            failed += [(s, ks[i]) for s, i in np.argwhere(mapped & ~hull_img)[:1]]
             checked += img.size
         if failed:
             s, k = min(failed)              # the first failing set, then its first k
@@ -406,8 +411,7 @@ def criterion_12() -> CriterionResult:
             gens = list(range(1, n // (4 * m) + 1))
             ys = _division_sets(n, gens)
             ks = range(1, 2 * m + 1)
-            premise = _is_quasi_convex(
-                n, np.stack([image_masks(n, ys, k) for k in ks], axis=1))
+            premise = _is_quasi_convex(n, image_masks(n, ys, ks))
             checked += int(premise.sum())
             failed = np.argwhere(premise & ~_is_quasi_convex(n, ys)[:, None])
             if failed.size:
@@ -423,7 +427,7 @@ def criterion_12() -> CriterionResult:
             quarter = n // (4 * m)
             gens = list(range(1, n // (16 * m) + 1))
             ys = _division_sets(n, gens)
-            premise = _is_quasi_convex(n, image_masks(n, ys, 4 * m))
+            premise = _is_quasi_convex(n, image_masks(n, ys, [4 * m])[:, 0])
             checked += int(premise.sum())
             yprime = ys | np.uint64((1 << quarter) | (1 << (n - quarter)))
             failed = np.flatnonzero(premise & ~_is_quasi_convex(n, yprime))

@@ -27,7 +27,7 @@ calls use these kernels; sweeps that repeat one modulus read the cached
 char_table(n), n <= 4096, whose row k packs the points p with k*p/n in
 T_+: a polar is an AND of rows and table_hull a second AND.  For n <= 64
 a row is one uint64, and hull_masks / image_masks take the hulls and
-images of whole arrays of subsets at once.
+images of whole arrays of subsets, for a block of maps, in one gather per byte.
 
 The polar inside T of finite integer characters is a union of closed
 intervals; polar_sweep_pairs computes it on integers, for realline.polar_R,
@@ -133,7 +133,7 @@ def hull_contains(n: int, gens: Iterable[int], target: int) -> bool:
     return all(in_t_plus(k * target % n, n) for k in polar)
 
 
-@lru_cache(maxsize=2)        # the quotient check alternates n and n/d
+@lru_cache(maxsize=16)       # criterion-09 cycles through its grids, the quotient check n and n/d
 def char_table(n: int) -> np.ndarray:
     """Read-only, symmetric n x ceil(n/8) uint8 table: row k packs {p : k*p/n in T_+}, bit p."""
     _checked_modulus(n, _TABLE_MAX_MODULUS)
@@ -162,23 +162,24 @@ def table_hull(n: int, elems: Iterable[int]) -> np.ndarray:
 _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
-def _bytewise(op, identity, rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """op over rows[j] for the set bits j of every mask, one table gather per byte."""
-    out, mask_bytes = None, np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
-    for b in range(0, len(rows), 8):
-        table = np.empty(256, dtype=np.uint64)
-        table[0] = identity
-        for i in range(8):
-            row = rows[b + i] if b + i < len(rows) else identity
-            op(table[:1 << i], row, out=table[1 << i:2 << i])
-        part = table[mask_bytes[..., b // 8::8]]          # byte b/8 of every mask, no copy
-        out = part if out is None else op(out, part, out=out)
+def _byte_tables(op, identity, rows: np.ndarray) -> np.ndarray:
+    """tables[b, v]: op over rows[8b + i] for the set bits i of v; rows' map axis stays last."""
+    rows8 = np.full(((len(rows) + 7) // 8 * 8,) + rows.shape[1:], identity, dtype=np.uint64)
+    rows8[:len(rows)] = rows
+    t = np.empty((len(rows8) // 8, 256) + rows.shape[1:], dtype=np.uint64)
+    t[:, 0] = identity
+    for i in range(8):                  # values below 2^i, then with bit i set
+        op(t[:, :1 << i], rows8[i::8, None], out=t[:, 1 << i:2 << i])
+    return t
+
+
+def _gather(op, tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """op over the table entries of every byte of every mask, one gather per byte."""
+    mask_bytes = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    out = tables[0][mask_bytes[..., 0::8]]      # byte 0 of every mask, no copy
+    for b in range(1, len(tables)):
+        op(out, tables[b][mask_bytes[..., b::8]], out=out)
     return out
-
-
-def _polar_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    rows = np.pad(char_table(n), ((0, 0), (0, 8 - (n + 7) // 8)))     # one uint64 per row
-    return _bytewise(np.bitwise_and, _ALL_BITS, rows.view("<u8").ravel(), masks)
 
 
 def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
@@ -188,15 +189,17 @@ def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
     The empty mask has every character in its polar and {0} as its hull.
     """
     _checked_modulus(n, 64)
-    return _polar_masks(n, _polar_masks(n, masks))
+    rows = np.pad(char_table(n), ((0, 0), (0, 8 - (n + 7) // 8)))     # one uint64 per row
+    tables = _byte_tables(np.bitwise_and, _ALL_BITS, rows.view("<u8").ravel())
+    return _gather(np.bitwise_and, tables, _gather(np.bitwise_and, tables, masks))
 
 
-def image_masks(n: int, masks: np.ndarray, k: int) -> np.ndarray:
-    """The image k*E of every subset E of Z(n) in a uint64 array, n <= 64."""
+def image_masks(n: int, masks: np.ndarray, ks: Iterable[int]) -> np.ndarray:
+    """k*E for every subset E of Z(n) in a uint64 array, a trailing column per k in ks; n <= 64."""
     _checked_modulus(n, 64)
-    ar = np.arange(n, dtype=np.int64)
-    rows = np.uint64(1) << (ar * (k % n) % n).astype(np.uint64)
-    return _bytewise(np.bitwise_or, np.uint64(0), rows, masks)
+    ks = np.fromiter(ks, dtype=np.int64)
+    rows = np.uint64(1) << (np.outer(np.arange(n, dtype=np.int64), ks) % n).astype(np.uint64)
+    return _gather(np.bitwise_or, _byte_tables(np.bitwise_or, np.uint64(0), rows), masks)
 
 
 Carrier = Literal["grid", "cyclic"]

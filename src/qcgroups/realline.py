@@ -25,10 +25,12 @@ filter is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .circle import HALF, RationalIntervalUnion, render_rational
@@ -80,8 +82,13 @@ class PeriodicPolar:
                                            for x, y in self.pairs))
 
     def contains(self, y: Fraction | int) -> bool:
-        r = Fraction(y) % self.period
-        return self.one_period.contains(r) or self.one_period.contains(r + self.period)
+        """y in the polar: one bisection over the integer pairs; one_period is not built."""
+        y, L = Fraction(y), self.L
+        den = y.denominator * self.period.numerator
+        num = y.numerator * L % (den * L)               # y mod D as num/den over [0, L)
+        i = bisect_right(self.pairs, num // den, key=itemgetter(0)) - 1
+        return ((i >= 0 and num <= self.pairs[i][1] * den)
+                or (num == 0 and self.pairs[-1][1] == L))      # the right edge is 0 again
 
     def member(self, z: Fraction) -> HullMembership:
         """z in the hull of any set with this polar, with a re-verified witness on Out."""
@@ -202,7 +209,7 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
         z = w / alpha
         if abs(z) > M:
             continue
-        if polar.member(z).inside:
+        if z == 0 or polar.member(z).inside:     # every character maps 0 into T_+
             out.add(z)
     missing = S.points - out
     if missing:

@@ -138,16 +138,34 @@ def test_multiplication_sweep_reports_the_first_failing_set(monkeypatch):
     from qcgroups import acceptance
 
     real = acceptance.hull_masks
+    sets = acceptance._symmetric_masks(48, range(1, 25), (1, 2, 3))
 
     def dropped(n, masks):
         out = real(n, masks)
-        if n == 48 and masks.ndim == 2:          # the hulls of the images only
+        if n == 48 and not np.array_equal(masks, sets):     # the hulls of the images only
             out = out & ~np.uint64(1 << 24)
         return out
 
     monkeypatch.setattr(acceptance, "hull_masks", dropped)
     r = acceptance.criterion_11()
     assert (r.passed, r.detail) == (False, "multiplication failed: n=48, E=(1,), k=24")
+
+
+def test_criterion_09_builds_each_grid_table_once(monkeypatch):
+    """char_table's cache holds every grid criterion-09 cycles through: one build per modulus."""
+    from qcgroups import acceptance, duality
+
+    real, moduli = acceptance.table_hull, set()
+
+    def recording(n, elems):
+        moduli.add(n)
+        return real(n, elems)
+
+    monkeypatch.setattr(acceptance, "table_hull", recording)
+    duality.char_table.cache_clear()
+    assert acceptance.criterion_09().passed
+    assert duality.char_table.cache_info().misses == len(moduli) > 0
+    assert moduli <= {2 ** i for i in range(1, 11)}
 
 
 def test_division_sets_follow_the_loop_order():

@@ -148,20 +148,41 @@ _MASKS = st.one_of(st.integers(min_value=0, max_value=2 ** 64 - 1),          # d
 
 @given(st.integers(min_value=1, max_value=64),
        st.lists(_MASKS, min_size=1, max_size=6),
-       st.integers(min_value=0, max_value=200))
-@example(1, [1], 0)
-@example(2, [2, 3], 1)
-@example(63, [1 << 62, 2 ** 63 - 1, 0x5555_5555_5555_5555], 62)
-@example(64, [1 << 63, 2 ** 64 - 1, 0xAAAA_AAAA_AAAA_AAAA], 63)
+       st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=4))
+@example(1, [1], [0])
+@example(2, [2, 3], [1])
+@example(63, [1 << 62, 2 ** 63 - 1, 0x5555_5555_5555_5555], [62])
+@example(64, [1 << 63, 2 ** 64 - 1, 0xAAAA_AAAA_AAAA_AAAA], [63, 0, 65])
 @settings(max_examples=150, deadline=None)
-def test_hull_masks_match_hull_residues(n, raw, k):
+def test_hull_masks_match_hull_residues(n, raw, ks):
     masks = [m & ((1 << n) - 1) or 1 for m in raw]
     hulls = hull_masks(n, np.array(masks, dtype=np.uint64))
-    images = image_masks(n, np.array(masks, dtype=np.uint64), k)
-    for m, h, img in zip(masks, hulls, images):
+    images = image_masks(n, np.array(masks, dtype=np.uint64), ks)
+    assert images.shape == (len(masks), len(ks))
+    for m, h, row in zip(masks, hulls, images):
         elems = _bits(m, n)
         assert _bits(h, n) == hull_residues(n, elems)[0]
-        assert _bits(img, n) == {k * j % n for j in elems}
+        for k, img in zip(ks, row):
+            assert _bits(img, n) == {k * j % n for j in elems}
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64])
+def test_image_masks_column_by_column(n):
+    # n = 7, 9, 63: the last byte is partly padding; n = 8, 64: it is full
+    rng = np.random.default_rng(n)
+    masks = [0, 1, (1 << n) - 1, 1 << (n - 1)]
+    masks += [int(m) & ((1 << n) - 1) for m in rng.integers(0, 2 ** 63, 20, dtype=np.uint64)]
+    ks = [0, n - 1, 1, 2, n, n + 1, 2 * n + 3, 129]
+    images = image_masks(n, np.array(masks, dtype=np.uint64), ks)
+    assert images.dtype == np.uint64 and images.shape == (len(masks), len(ks))
+    for m, row in zip(masks, images):
+        for col, k in enumerate(ks):
+            assert int(row[col]) == sum({1 << (k * e % n) for e in _bits(m, n)}), (m, k)
+    # a block of masks with its own trailing axis keeps it, the maps come last
+    block = image_masks(n, np.array(masks, dtype=np.uint64).reshape(4, -1), ks)
+    assert np.array_equal(block.reshape(images.shape), images)
+    # the empty set: its polar is every character, padding bits included, and its hull {0}
+    assert hull_masks(n, np.zeros(3, dtype=np.uint64)).tolist() == [1, 1, 1]
 
 
 def test_char_table_rows_match_the_outer_product():
@@ -211,7 +232,7 @@ def test_kernel_rejects_bad_moduli():
     with pytest.raises(InvalidInputError):
         hull_masks(65, np.array([1], dtype=np.uint64))
     with pytest.raises(InvalidInputError):
-        image_masks(0, np.array([1], dtype=np.uint64), 1)
+        image_masks(0, np.array([1], dtype=np.uint64), [1])
 
 
 # ------------------------------------------------------------ functoriality

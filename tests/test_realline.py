@@ -67,6 +67,35 @@ def test_polar_matches_its_definition_densely(raw):
         assert polar.contains(y) == all(in_Tplus(y * x) for x in base.points), y
 
 
+def _fraction_contains(p, y):
+    """PeriodicPolar.contains as it was: a scan of the Fraction one_period."""
+    r = F(y) % p.period
+    return p.one_period.contains(r) or p.one_period.contains(r + p.period)
+
+
+@given(st.integers(1, 6), st.integers(0, 2),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5)), min_size=1, max_size=6),
+       st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_contains_matches_the_fraction_scan(D, start, pieces, pad):
+    # sorted disjoint pairs over L, isolated points (x, x) included; with
+    # start = 0 and pad = 0 the polar touches both edges of the period
+    pairs, x = [], start
+    for gap, length in pieces:
+        pairs.append((x, x + length))
+        x += length + gap
+    L = max(pairs[-1][1] + pad, 1)
+    p = realline.PeriodicPolar(F(D), tuple(pairs), L)
+    probes = {F(0), F(D)}
+    for x, y in pairs:
+        lo, hi = F(x * D, L), F(y * D, L)
+        eps = F(D, 3 * L)                   # less than one grid step: into the gaps
+        probes |= {lo, hi, (lo + hi) / 2, lo - eps, hi + eps}
+    for q in probes:
+        for y in (q - D, q, q + D, q + 2 * D, -q):
+            assert p.contains(y) == _fraction_contains(p, y), (pairs, L, y)
+
+
 def test_empty_set_rejected():
     with pytest.raises(InvalidInputError):
         RealFiniteSet(frozenset())
@@ -241,6 +270,28 @@ def test_hull_builds_one_polar(monkeypatch):
     grew = S(0, F(1, 2), -F(1, 2), F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
     assert hull_R(grew) == grew.points | {F(5, 16), F(-5, 16)}
     assert calls == [grew]
+
+
+def _hull_with_a_member_pass_per_candidate(base):
+    """hull_R's candidates, each kept only if polar.member accepts it, z = 0 included."""
+    alpha = scale_into_half(base)
+    grid = ResidueSet.from_rationals([alpha * p for p in base.points])
+    polar, bound = polar_R(base), base.max_abs()
+    out = set()
+    for j in hull(grid).hull.residues:
+        w = F(j, grid.modulus)
+        z = (w - 1 if w > HALF else w) / alpha
+        if abs(z) <= bound and polar.member(z).inside:
+            out.add(z)
+    return frozenset(out)
+
+
+def test_hull_keeps_zero_without_a_member_pass():
+    # every set criterion-09 hands to hull_R: the R2 points of each sequence
+    for r in range(1, 5):
+        for entries in combinations(range(10), r):
+            base = RealFiniteSet(points_R2(GapSequence(entries)))
+            assert hull_R(base) == _hull_with_a_member_pass_per_candidate(base), entries
 
 
 def test_hull_members_all_accepted_and_probes_rejected():

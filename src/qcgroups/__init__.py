@@ -13,8 +13,8 @@ from .families import (DivisibleChain, GapSequence, Verdict, WitnessRecipe,
                        necessary_report_R, necessary_report_T, points_K2,
                        points_K3, points_R2, verdict_J3, verdict_R2,
                        verdict_T2, verdict_T3)
-from .padic import (PadicTruncGroup, PruferChar, compute_Jm, epsilon_forms,
-                    L3_truncate, level_for, q12_set, zeta_eval)
+from .padic import (PruferChar, compute_Jm, epsilon_forms, L3_truncate,
+                    level_for, q12_set)
 from .realline import (HullMembership, PeriodicPolar, RealFiniteSet, hull_R,
                        member_hull_R, polar_R, scale_into_half)
 from .witnesses import (ExclusionCertificate, TailBound, certificate_from_json,
@@ -29,8 +29,8 @@ __all__ = [
     "DivisibleChain", "GapSequence", "Verdict", "WitnessRecipe",
     "necessary_report_R", "necessary_report_T", "points_K2", "points_K3",
     "points_R2", "verdict_J3", "verdict_R2", "verdict_T2", "verdict_T3",
-    "PadicTruncGroup", "PruferChar", "compute_Jm", "epsilon_forms",
-    "L3_truncate", "level_for", "q12_set", "zeta_eval",
+    "PruferChar", "compute_Jm", "epsilon_forms", "L3_truncate", "level_for",
+    "q12_set",
     "HullMembership", "PeriodicPolar", "RealFiniteSet", "hull_R",
     "member_hull_R", "polar_R", "scale_into_half",
     "ExclusionCertificate", "TailBound", "certificate_from_json",

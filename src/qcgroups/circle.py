@@ -1,10 +1,11 @@
 """Exact arithmetic on the circle group T = R/Z and on unions of rational intervals.
 
 A point of T is stored as the canonical rational representative in the
-window (-1/2, 1/2]: equality, ordering and the distance-to-zero norm are
-all read off the canonical numerator/denominator pair.  All arithmetic is
-integer arithmetic on arbitrary-precision ints; there is no floating
-point anywhere in this module.
+window (-1/2, 1/2] (signed_residue writes any residue in that window):
+equality and the distance to zero are read off the canonical
+numerator/denominator pair.  All arithmetic is integer arithmetic on
+arbitrary-precision ints; there is no floating point anywhere in this
+module.
 
 The small target sets T_m are the closed arcs of radius 1/(4m) around 0
 (T_+ is T_1).  They are closed: boundary points such as 1/4 belong to
@@ -45,16 +46,6 @@ class UnitRational:
         f = Fraction(q)
         return cls(f.numerator, f.denominator)
 
-    def norm(self) -> Fraction:
-        """Distance from 0 in T; always in [0, 1/2]."""
-        return Fraction(abs(self.num), self.den)
-
-    def in_Tm(self, m: int) -> bool:
-        """Membership in the closed arc T_m = [-1/(4m), 1/(4m)]."""
-        if m < 1:
-            raise InvalidInputError("T_m needs m >= 1")
-        return 4 * m * abs(self.num) <= self.den
-
     def __add__(self, other: "UnitRational") -> "UnitRational":
         return UnitRational(self.num * other.den + other.num * self.den,
                             self.den * other.den)
@@ -76,11 +67,15 @@ class UnitRational:
         return _write_fraction(self.num, self.den)
 
 
+def signed_residue(x: int, n: int) -> int:
+    """x mod n (n > 0) written in the window (-n/2, n/2]."""
+    r = x % n
+    return r if 2 * r <= n else r - n
+
+
 def _reduce_point(num: int, den: int) -> tuple[int, int]:
     """num/den (den > 0) as a point of T: numerator in (-den/2, den/2], lowest terms."""
-    num %= den
-    if 2 * num > den:
-        num -= den
+    num = signed_residue(num, den)
     g = gcd(num, den)
     return num // g, den // g
 

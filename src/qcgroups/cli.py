@@ -17,15 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import acceptance
-from .circle import parse_rational, render_rational
+from .circle import parse_rational, render_rational, signed_residue
 from .duality import ResidueSet, hull, polar
 from .errors import (InvalidInputError, describe_int, quote_input,
                      too_long_to_print)
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, verdict_J3, verdict_R2, verdict_T2,
                        verdict_T3)
-from .padic import (PadicTruncGroup, compute_Jm, epsilon_forms, level_for,
-                    q12_set)
+from .padic import compute_Jm, epsilon_forms, level_for, q12_set
 from .realline import RealFiniteSet, hull_R, member_hull_R, polar_R
 from .witnesses import (SCHEMA, certificate_from_json, exclusion_J3,
                         exclusion_T3, verify_certificate)
@@ -150,14 +149,16 @@ def cmd_hull_zn(args, cfg: RunConfig) -> int:
 
 
 def cmd_hull_j3(args, cfg: RunConfig) -> int:
-    group = PadicTruncGroup(args.level)
+    if args.level < 1:
+        raise InvalidInputError("level must be >= 1")
     cfg.check_power_of_3(args.level)
-    E = ResidueSet(group.order, _parse_int_set(args.set), "cyclic")
+    n = 3 ** args.level
+    E = ResidueSet(n, _parse_int_set(args.set), "cyclic")
     rep = hull(E)
-    canon = sorted(group.canonical(e) for e in rep.hull.residues)
-    witnesses = {str(group.canonical(p)): k for p, k in sorted(rep.witnesses.items())}
-    _emit(cfg, {"op": "hull-j3", "level": args.level, "order": group.order,
-                "input": sorted(group.canonical(e) for e in E.residues),
+    canon = sorted(signed_residue(e, n) for e in rep.hull.residues)
+    witnesses = {str(signed_residue(p, n)): k for p, k in sorted(rep.witnesses.items())}
+    _emit(cfg, {"op": "hull-j3", "level": args.level, "order": n,
+                "input": sorted(signed_residue(e, n) for e in E.residues),
                 "hull": canon, "witnesses": witnesses,
                 "quasi_convex": rep.is_quasi_convex()},
           lambda: [f"hull in Z(3^{args.level}): {canon}",
@@ -244,7 +245,7 @@ def cmd_q12(args, cfg: RunConfig) -> int:
     def ser(S: ResidueSet) -> list:
         if S.carrier == "grid":
             return sorted(S.render(S.residues))
-        return sorted(PadicTruncGroup(exponent).canonical(x) for x in S.residues)
+        return sorted(signed_residue(x, S.modulus) for x in S.residues)
 
     _emit(cfg, {"op": "q12", "family": args.family, "exponent": exponent,
                 "q12": ser(q12), "epsilon_forms": ser(eps), "equal": q12 == eps},

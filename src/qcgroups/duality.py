@@ -189,7 +189,9 @@ def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
     The empty mask has every character in its polar and {0} as its hull.
     """
     _checked_modulus(n, 64)
-    rows = np.pad(char_table(n), ((0, 0), (0, 8 - (n + 7) // 8)))     # one uint64 per row
+    T = char_table(n)
+    rows = np.zeros((n, 8), dtype=np.uint8)                 # one uint64 per row
+    rows[:, :T.shape[1]] = T
     tables = _byte_tables(np.bitwise_and, _ALL_BITS, rows.view("<u8").ravel())
     return _gather(np.bitwise_and, tables, _gather(np.bitwise_and, tables, masks))
 

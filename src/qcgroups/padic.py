@@ -1,13 +1,15 @@
 """Truncated 3-adic integers Z(3^M), Pruefer-dual characters, J_m and Q1∩Q2.
 
 Everything happens in a finite quotient at an explicit level M; there is
-no infinite-precision p-adic arithmetic here.  Elements carry the
-canonical signed residue in (-3^M/2, 3^M/2] (3^M is odd, so that window
-is exactly the integers of absolute value <= (3^M - 1)/2).
+no infinite-precision p-adic arithmetic here.  Elements are written as
+the signed residue in (-3^M/2, 3^M/2] (circle.signed_residue; 3^M is
+odd, so that window is exactly the integers of absolute value
+<= (3^M - 1)/2).
 
-The character zeta_k sends 1 to 3^-(k+1); it factors through Z(3^M)
-precisely when k + 1 <= M, and zeta_eval evaluates it exactly as a
-UnitRational.  On the circle side eta_k is multiplication by 3^k.
+The character zeta_k sends 1 to 3^-(k+1), so m*zeta_k sends x to the
+residue m*x mod 3^(k+1); it factors through Z(3^M) precisely when
+k + 1 <= M.  PruferChar records (m, k) for certificates.  On the circle
+side eta_k is multiplication by 3^k.
 
 Both base-3 families are one computation in Z(3^M), up to the digit flip
 i -> M-1-i.  The J3 point 3^(a_n) is the residue 3^(a_n), and m*zeta_k
@@ -21,30 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle import UnitRational
 from .duality import ResidueSet, in_t_plus, polar_residues
 from .errors import InvalidInputError
 from .families import FamilyKind, GapSequence
-
-
-@dataclass(frozen=True)
-class PadicTruncGroup:
-    """The quotient Z(3^M) of the 3-adic integers."""
-
-    level: int
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise InvalidInputError("level must be >= 1")
-
-    @property
-    def order(self) -> int:
-        return 3 ** self.level
-
-    def canonical(self, x: int) -> int:
-        """Signed residue in (-order/2, order/2]."""
-        r = x % self.order
-        return r if 2 * r <= self.order else r - self.order
 
 
 @dataclass(frozen=True)
@@ -65,21 +46,8 @@ class PruferChar:
     def min_level(self) -> int:
         return self.index + 1
 
-    def __call__(self, x: int, level: int) -> UnitRational:
-        return zeta_eval(self.multiplier, self.index, x, level)
-
     def as_json(self) -> dict:
         return {"multiplier": self.multiplier, "index": self.index}
-
-
-def zeta_eval(m: int, k: int, x: int, level: int) -> UnitRational:
-    """m * zeta_k at x inside Z(3^level): exactly m*x / 3^(k+1) mod 1."""
-    if k < 0:
-        raise InvalidInputError("character index must be nonnegative")
-    if k + 1 > level:
-        raise InvalidInputError(
-            f"zeta_{k} does not factor through level {level} (need level >= {k + 1})")
-    return UnitRational(m * x, 3 ** (k + 1))
 
 
 def level_for(a: GapSequence) -> int:

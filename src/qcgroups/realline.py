@@ -33,7 +33,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .circle import HALF, RationalIntervalUnion, render_rational
+from .circle import HALF, RationalIntervalUnion, render_rational, signed_residue
 from .duality import ResidueSet, hull, in_t_plus, polar_sweep_pairs
 from .errors import InvalidInputError
 
@@ -203,10 +203,7 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
     polar = polar_R(S)
     out = set()
     for j in sorted(hull(grid).hull.residues):
-        w = Fraction(j, grid.modulus)
-        if w > HALF:
-            w -= 1
-        z = w / alpha
+        z = Fraction(signed_residue(j, grid.modulus), grid.modulus) / alpha
         if abs(z) > M:
             continue
         if z == 0 or polar.member(z).inside:     # every character maps 0 into T_+

@@ -12,6 +12,11 @@ so its tail vanishes outright.
 An ExclusionCertificate packages such a character with a target point, the
 exact evaluation, and a symbolic tail bound; verify_certificate re-checks
 all of it bit-exactly without trusting the construction.
+
+Every T_+ test here is duality.in_t_plus on an integer residue: chi sends
+the circle point 3^-(a_n+1) to chi mod 3^(a_n+1), m*zeta_k sends the
+3-adic point 3^(a_n) to m*3^(a_n) mod 3^(k+1), and an evaluation num/den
+is tested as num mod den.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
-from .circle import UnitRational, parse_rational, render_rational
+from .circle import UnitRational, parse_rational, render_rational, signed_residue
+from .duality import in_t_plus
 from .errors import InvalidInputError
 from .families import GapSequence
-from .padic import PadicTruncGroup, PruferChar, level_for, zeta_eval
+from .padic import PruferChar, level_for
 
 QUARTER = Fraction(1, 4)
 SCHEMA = "qcgroups/1"
@@ -140,7 +146,8 @@ def shift_char_T3(a: GapSequence, k: int, l: int, sign: int) -> int:
     m = 3 ** (e[l] - e[k]) + 2 * sign
     chi = m * 3 ** (e[k] - 1)
     for an in e:
-        if not UnitRational(chi, 3 ** (an + 1)).in_Tm(1):
+        d = 3 ** (an + 1)
+        if not in_t_plus(chi % d, d):
             raise RuntimeError("shift character left the polar; implementation bug")
     return chi
 
@@ -151,9 +158,9 @@ def shift_char_J3(a: GapSequence, k: int, l: int, sign: int) -> PruferChar:
     e = a.entries
     m = 3 ** (e[l] - e[k]) + 2 * sign
     char = PruferChar(m, e[l] + 1)
-    level = max(level_for(a), char.min_level())
+    d = 3 ** (char.index + 1)
     for an in e:
-        if not char(3 ** an, level).in_Tm(1):
+        if not in_t_plus(m * 3 ** an % d, d):
             raise RuntimeError("shift character left the polar; implementation bug")
     return char
 
@@ -231,7 +238,7 @@ def exclusion_T3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
 
     start = nz[2] if len(nz) > 2 else len(a)
     tb = tail_bound_T3(a, m, n0, start, l=n1)
-    if evaluation.norm() <= QUARTER:
+    if in_t_plus(evaluation.num % evaluation.den, evaluation.den):
         raise RuntimeError("evaluation landed inside T_+; implementation bug")
     return ExclusionCertificate(
         family_kind="T3", family=a, character=chi, target=target, evaluation=evaluation,
@@ -254,13 +261,13 @@ def exclusion_J3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
     char = PruferChar(m_signed, e[n1] + 1)
 
     raw = sum(eps[i] * 3 ** e[i] for i in nz)
-    target = PadicTruncGroup(level_for(a)).canonical(raw)
+    target = signed_residue(raw, 3 ** level_for(a))
     evaluation = UnitRational(m_signed * raw, 3 ** (e[n1] + 2))
 
     closed = Fraction(rho, 3) + Fraction(2, 3 ** (e[n1] - e[n0] + 2))
     if UnitRational.from_fraction(closed) != evaluation:
         raise RuntimeError("closed-form evaluation mismatch; implementation bug")
-    if evaluation.norm() <= QUARTER:
+    if in_t_plus(evaluation.num % evaluation.den, evaluation.den):
         raise RuntimeError("evaluation landed inside T_+; implementation bug")
     start = nz[2] if len(nz) > 2 else len(a)
     return ExclusionCertificate(
@@ -273,7 +280,7 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
     """Re-check a certificate from scratch; False on any mathematical mismatch.
 
     Checks: the character maps every prefix point into T_+, the stored
-    evaluation re-computes exactly, its norm exceeds 1/4, the tail bound
+    evaluation re-computes exactly and lies outside T_+, the tail bound
     re-derives bit-exactly, and the closed-form part stays outside T_+
     even after adding the tail (so the certificate covers every
     continuation of the family with gaps > 1).
@@ -293,11 +300,11 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
         if any(g <= 1 for g in a.gaps) or e[0] <= 0:
             return False
         for an in e[:terms]:
-            if not UnitRational(cert.character, 3 ** (an + 1)).in_Tm(1):
+            d = 3 ** (an + 1)
+            if not in_t_plus(cert.character % d, d):
                 return False
-        if cert.target * cert.character != cert.evaluation:
-            return False
-        if cert.evaluation.norm() <= QUARTER:
+        ev = cert.evaluation
+        if cert.target * cert.character != ev or in_t_plus(ev.num % ev.den, ev.den):
             return False
         m = 3 ** (e[cert.l_index] - e[cert.k_index]) + 2 * cert.rho
         try:
@@ -314,6 +321,7 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
     if cert.family_kind == "J3":
         if not isinstance(cert.character, PruferChar) or not isinstance(cert.target, int):
             raise InvalidInputError("J3 certificate needs a Pruefer character")
+        a.require_nonnegative()     # 3^(a_n) must be an integer
         level = level_for(a) if truncation is None else truncation
         if level < cert.character.min_level() or level < e[-1] + 1:
             raise InvalidInputError(
@@ -321,14 +329,11 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
                 f"{max(cert.character.min_level(), e[-1] + 1)}")
         if any(g <= 1 for g in a.gaps):
             return False
-        for an in e:
-            if not cert.character(3 ** an, level).in_Tm(1):
-                return False
-        value = zeta_eval(cert.character.multiplier, cert.character.index,
-                          cert.target, level)
-        if value != cert.evaluation:
+        m, d = cert.character.multiplier, 3 ** (cert.character.index + 1)
+        if not all(in_t_plus(m * 3 ** an % d, d) for an in e):
             return False
-        if cert.evaluation.norm() <= QUARTER:
+        ev = cert.evaluation
+        if UnitRational(m * cert.target, d) != ev or in_t_plus(ev.num % ev.den, ev.den):
             return False
         return cert.tail_bound.bound == 0
 

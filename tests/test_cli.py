@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from qcgroups.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -119,6 +125,30 @@ def test_certificate_round_trip(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("family, seq, epsilon, tamper", [
+    ("T3", "1,3,6", "1,0,-1", lambda d: d.update(character=d["character"] + 1)),
+    ("J3", "0,2,5", "1,-1,1", lambda d: d["character"].update(index=d["character"]["index"] + 1)),
+])
+def test_verify_cert_survives_python_O(tmp_path, capsys, family, seq, epsilon, tamper):
+    # the re-check runs under python -O, which strips assert statements
+    path = tmp_path / "cert.json"
+    assert run(capsys, "certify", "--family", family, "--seq", seq, "--epsilon", epsilon,
+               "--out", str(path))[0] == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+
+    def verify():
+        done = subprocess.run([sys.executable, "-O", "-m", "qcgroups.cli", "verify-cert",
+                               "--cert", str(path)], capture_output=True, env=env, timeout=60)
+        return done.returncode, json.loads(done.stdout)["valid"]
+
+    assert verify() == (0, True)
+    data = json.loads(path.read_text())
+    tamper(data)
+    path.write_text(json.dumps(data))
+    assert verify() == (1, False)
+
+
 def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "hull-zn", "--n", "0", "--set", "1")[0] == 2
     assert run(capsys, "hull-t", "--set", "abc")[0] == 2
@@ -132,6 +162,9 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         assert code == 2 and "cannot write certificate" in err
     assert run(capsys, "verify-cert", "--cert", "/nonexistent.json")[0] == 2
     assert run(capsys, "verify-paper", "--criteria", "criterion-03", "--jobs", "0")[0] == 2
+    for level in ("0", "-1"):
+        code, out, err = run(capsys, "hull-j3", "--level", level, "--set", "1")
+        assert code == 2 and out == "" and "level must be >= 1" in err
     # oversized integers: 3^level is never built past the bound, and huge
     # moduli are named by bit length (int-to-str refuses over 4300 digits)
     primes = [p for p in range(10 ** 4, 3 * 10 ** 4) if all(p % d for d in range(2, 174))]

@@ -2,58 +2,45 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from qcgroups.circle import UnitRational
+from qcgroups.circle import UnitRational, signed_residue
 from qcgroups.duality import ResidueSet, in_t_plus, polar_residues
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence
-from qcgroups.padic import (PadicTruncGroup, PruferChar, compute_Jm,
-                            epsilon_forms, L3_truncate, level_for, q12_set,
-                            zeta_eval)
+from qcgroups.padic import (PruferChar, compute_Jm, epsilon_forms, L3_truncate,
+                            level_for, q12_set)
 
 GS = GapSequence.of
 F = Fraction
 
 
+def _canonical(x, order):
+    """The signed residue of x in Z(order), computed apart from circle.signed_residue."""
+    r = x % order
+    return r if 2 * r <= order else r - order
+
+
+def _in_Tplus(x):
+    """The point x of T lies in T_+, read off its canonical window."""
+    return 4 * abs(x.num) <= x.den
+
+
 def test_group_canonical_residues():
-    g = PadicTruncGroup(3)
-    assert g.order == 27
-    assert g.canonical(13) == 13
-    assert g.canonical(14) == -13
-    assert g.canonical(26) == -1
+    assert [signed_residue(x, 27) for x in (13, 14, 26, -1, -13, -14, 27)] == [
+        13, -13, -1, -1, -13, 13, 0]
+    # even n: n/2 is kept and -n/2 maps onto it
+    assert [signed_residue(x, 8) for x in (4, -4, 5, -3, 12)] == [4, 4, -3, -3, 4]
+    assert signed_residue(5, 1) == signed_residue(-5, 1) == 0
+    for M in range(1, 7):
+        n = 3 ** M
+        for x in range(-2 * n, 2 * n + 1):
+            assert signed_residue(x, n) == _canonical(x, n), (x, n)
 
 
-def test_group_validation():
-    with pytest.raises(InvalidInputError):
-        PadicTruncGroup(0)
-
-
-def test_zeta_examples():
-    assert zeta_eval(1, 0, 1, 4) == UnitRational(1, 3)
-    assert zeta_eval(11, 3, 10, 4) == UnitRational(29, 81)
-    # at k = a_n the value is 2/3, outside T_+
-    v = zeta_eval(2, 2, 9, 4)
-    assert v == UnitRational(2, 3) and not v.in_Tm(1)
-    with pytest.raises(InvalidInputError):
-        zeta_eval(1, 4, 1, 4)
-
-
-@given(st.integers(-10, 10), st.integers(0, 5),
-       st.integers(-400, 400), st.integers(-400, 400))
-def test_zeta_is_a_homomorphism(m, k, x, y):
-    level = 6
-    lhs = zeta_eval(m, k, x + y, level)
-    assert lhs == zeta_eval(m, k, x, level) + zeta_eval(m, k, y, level)
-
-
-def test_prufer_char_call():
+def test_prufer_char_record():
     chi = PruferChar(11, 3)
-    assert chi(10, 4) == UnitRational(29, 81)
     assert chi.min_level() == 4
-    with pytest.raises(InvalidInputError):
-        chi(10, 3)
+    assert chi.as_json() == {"multiplier": 11, "index": 3}
     with pytest.raises(InvalidInputError):
         PruferChar(1, -1)
 
@@ -138,10 +125,9 @@ def test_q12_unconstrained_carrier():
 
 def _old_Jm(a, m, k_max, kind):
     if kind == "T3":   # m*eta_k(3^-(a_n+1))
-        ok = lambda k: all(UnitRational(m * 3 ** k, 3 ** (an + 1)).in_Tm(1) for an in a.entries)
-    else:              # m*zeta_k(3^(a_n)), at a level the characters factor through
-        level = max(level_for(a), k_max + 1)
-        ok = lambda k: all(zeta_eval(m, k, 3 ** an, level).in_Tm(1) for an in a.entries)
+        ok = lambda k: all(_in_Tplus(UnitRational(m * 3 ** k, 3 ** (an + 1))) for an in a.entries)
+    else:              # m*zeta_k(3^(a_n)) = m*3^(a_n) / 3^(k+1)
+        ok = lambda k: all(_in_Tplus(UnitRational(m * 3 ** an, 3 ** (k + 1))) for an in a.entries)
     return frozenset(k for k in range(k_max + 1) if ok(k))
 
 
@@ -153,10 +139,9 @@ def _old_epsilon_forms(a, kind, exponent):
             x = UnitRational(1, 3 ** (an + 1))
             acc = {s + e * x for s in acc for e in (-1, 0, 1)}
     else:
-        group = PadicTruncGroup(exponent)
         acc = {0}
         for an in a.entries:
-            acc = {group.canonical(s + e * 3 ** an) for s in acc for e in (-1, 0, 1)}
+            acc = {_canonical(s + e * 3 ** an, 3 ** exponent) for s in acc for e in (-1, 0, 1)}
     return frozenset(acc)
 
 
@@ -168,15 +153,14 @@ def _old_q12(a, kind, exponent):
         chars = [m * 3 ** k for k in ks for m in (1, 2)]
         return frozenset(UnitRational(j, n) for j in polar_residues(n, [0] + chars))
     chars = [m * 3 ** (exponent - k - 1) for k in ks for m in (1, 2)]
-    group = PadicTruncGroup(exponent)
-    return frozenset(group.canonical(x) for x in polar_residues(n, [0] + chars))
+    return frozenset(_canonical(x, n) for x in polar_residues(n, [0] + chars))
 
 
 def _as_old(S, kind, exponent):
     """A residue set written the old per-family way."""
     if kind == "T3":
         return frozenset(UnitRational(r, S.modulus) for r in S.residues)
-    return frozenset(PadicTruncGroup(exponent).canonical(r) for r in S.residues)
+    return frozenset(_canonical(r, 3 ** exponent) for r in S.residues)
 
 
 @pytest.mark.parametrize("kind", ["T3", "J3"])

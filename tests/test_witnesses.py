@@ -1,6 +1,7 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +18,17 @@ from qcgroups.witnesses import (TailBound, certificate_from_json,
 
 GS = GapSequence.of
 F = Fraction
+QUARTER = F(1, 4)
+
+
+def norm(x):
+    """Distance from 0 in T of a UnitRational, read off its canonical window."""
+    return F(abs(x.num), x.den)
+
+
+def in_Tplus(x):
+    """The UnitRational x lies in T_+ = [-1/4, 1/4]."""
+    return 4 * abs(x.num) <= x.den
 
 
 def gap2_sequences(max_entry, max_len):
@@ -69,14 +81,14 @@ def test_shift_chars_live_in_the_polar():
                     if a.entries[0] > 0:
                         chi = shift_char_T3(a, k, l, sign)
                         for an in a.entries:
-                            assert UnitRational(chi, 3 ** (an + 1)).in_Tm(1)
+                            assert in_Tplus(UnitRational(chi, 3 ** (an + 1)))
                         m = 3 ** (a.entries[l] - a.entries[k]) + 2 * sign
                         tb = tail_bound_T3(a, m, k, l + 1, l=l)
                         assert tb.bound < F(1, 4)
                     char = shift_char_J3(a, k, l, sign)
-                    level = max(level_for(a), char.min_level())
-                    for an in a.entries:
-                        assert char(3 ** an, level).in_Tm(1)
+                    for an in a.entries:    # m*zeta_k(3^(a_n)) = m*3^(a_n) / 3^(k+1)
+                        assert in_Tplus(UnitRational(char.multiplier * 3 ** an,
+                                                     3 ** (char.index + 1)))
 
 
 # ------------------------------------------------------------ tail bounds
@@ -120,13 +132,13 @@ def test_exclusion_T3_examples():
     assert c.character == 11
     assert c.target == UnitRational(10, 81)
     assert c.evaluation == UnitRational(29, 81)
-    assert c.evaluation.norm() > F(1, 4)
+    assert norm(c.evaluation) > QUARTER
     assert verify_certificate(c)
 
     c = exclusion_T3(GS(1, 3), [1, -1])
     assert c.character == 7
     assert c.target == UnitRational(8, 81)
-    assert c.evaluation.norm() == F(25, 81)
+    assert norm(c.evaluation) == F(25, 81)
 
     c = exclusion_T3(GS(2, 4, 7), [1, 1, 0])
     assert c.character == 33
@@ -142,7 +154,7 @@ def test_exclusion_J3_examples():
 
     c = exclusion_J3(GS(0, 2), [1, -1])
     assert c.character == PruferChar(-7, 3)
-    assert c.evaluation.norm() == F(25, 81)
+    assert norm(c.evaluation) == F(25, 81)
 
     c = exclusion_J3(GS(1, 4), [1, 1])
     assert c.character == PruferChar(29, 5)
@@ -217,6 +229,9 @@ def test_verify_truncation_preconditions():
     j = exclusion_J3(GS(0, 2), [1, 1])
     with pytest.raises(InvalidInputError):
         verify_certificate(j, 3)           # zeta_3 needs level >= 4
+    # a negative entry is no 3-adic point, whatever the truncation
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        verify_certificate(dataclasses.replace(j, family=GS(-2, 2)), 6)
 
 
 def test_certificate_json_round_trip():
@@ -249,3 +264,125 @@ def test_demo_targets_in_hulls_across_carriers():
     for n in range(1, 101):
         assert hull_contains(n, {1, 3, 6}, 4)
         assert hull_contains(n, {1, 4, 8}, 5)
+
+
+# ------------------------------------------------- differential re-check
+
+
+def _old_zeta(m, k, x, level):
+    """m * zeta_k at x inside Z(3^level), as a UnitRational."""
+    if k + 1 > level:
+        raise InvalidInputError(
+            f"zeta_{k} does not factor through level {level} (need level >= {k + 1})")
+    return UnitRational(m * x, 3 ** (k + 1))
+
+
+def _old_verify_certificate(cert, truncation=None):
+    """The re-check written on UnitRational num/den instead of integer residues."""
+    a = cert.family
+    e = a.entries
+    if not (0 <= cert.k_index < cert.l_index < len(e)) or cert.rho not in (1, -1):
+        return False
+    if cert.family_kind == "T3":
+        if not isinstance(cert.character, int) or not isinstance(cert.target, UnitRational):
+            raise InvalidInputError("T3 certificate needs an integer character")
+        terms = len(a) if truncation is None else truncation
+        if terms < cert.l_index + 1:
+            raise InvalidInputError(
+                f"truncation {terms} too short; need at least {cert.l_index + 1} terms")
+        terms = min(terms, len(a))
+        if any(g <= 1 for g in a.gaps) or e[0] <= 0:
+            return False
+        for an in e[:terms]:
+            if not in_Tplus(UnitRational(cert.character, 3 ** (an + 1))):
+                return False
+        if cert.target * cert.character != cert.evaluation:
+            return False
+        if norm(cert.evaluation) <= QUARTER:
+            return False
+        m = 3 ** (e[cert.l_index] - e[cert.k_index]) + 2 * cert.rho
+        try:
+            expected = tail_bound_T3(a, m, cert.k_index, cert.tail_bound.start_index,
+                                     l=cert.l_index)
+        except InvalidInputError:
+            return False
+        if expected.bound != cert.tail_bound.bound:
+            return False
+        slack = F(2, 3 ** (e[cert.l_index] - e[cert.k_index] + 2)) + expected.bound
+        return slack < F(1, 3) - QUARTER
+
+    if cert.family_kind == "J3":
+        if not isinstance(cert.character, PruferChar) or not isinstance(cert.target, int):
+            raise InvalidInputError("J3 certificate needs a Pruefer character")
+        level = level_for(a) if truncation is None else truncation
+        if level < cert.character.min_level() or level < e[-1] + 1:
+            raise InvalidInputError(
+                f"truncation level {level} too short; need at least "
+                f"{max(cert.character.min_level(), e[-1] + 1)}")
+        if any(g <= 1 for g in a.gaps):
+            return False
+        m, k = cert.character.multiplier, cert.character.index
+        for an in e:
+            if not in_Tplus(_old_zeta(m, k, 3 ** an, level)):
+                return False
+        if _old_zeta(m, k, cert.target, level) != cert.evaluation:
+            return False
+        if norm(cert.evaluation) <= QUARTER:
+            return False
+        return cert.tail_bound.bound == 0
+
+    raise InvalidInputError(f"unknown certificate kind {cert.family_kind!r}")
+
+
+def _all_certificates():
+    """Every certificate the builders accept for entries from range(9), up to 4 terms."""
+    for r in range(1, 5):
+        for entries in combinations(range(9), r):
+            a = GapSequence(entries)
+            for eps in product((-1, 0, 1), repeat=r):
+                for build in (exclusion_T3, exclusion_J3):
+                    try:
+                        yield build(a, eps)
+                    except InvalidInputError:
+                        pass
+
+
+def _mutants(cert):
+    """cert with each integer field moved by -1 and by +1."""
+    tb, ev, t, c = cert.tail_bound, cert.evaluation, cert.target, cert.character
+    for d in (-1, 1):
+        fields = [{"rho": cert.rho + d}, {"k_index": cert.k_index + d},
+                  {"l_index": cert.l_index + d},
+                  {"evaluation": UnitRational(ev.num + d, ev.den)},
+                  {"tail_bound": TailBound(tb.start_index + d, tb.bound)}]
+        if cert.family_kind == "T3":
+            fields += [{"character": c + d}, {"target": UnitRational(t.num + d, t.den)}]
+        else:
+            fields += [{"character": PruferChar(c.multiplier + d, c.index)},
+                       {"character": PruferChar(c.multiplier, c.index + d)},
+                       {"target": t + d}]
+        for change in fields:
+            yield dataclasses.replace(cert, **change)
+
+
+def _verdict(check, cert, truncation):
+    try:
+        return check(cert, truncation)
+    except InvalidInputError as exc:
+        return f"InvalidInputError: {exc}"
+
+
+def test_verify_matches_the_num_den_recheck():
+    built, seen = Counter(), Counter()
+    for cert in _all_certificates():
+        built[cert.family_kind] += 1
+        assert verify_certificate(cert)
+        a = cert.family
+        for truncation in (None, len(a) + 1, a.entries[-1] + 3):
+            for probe in (cert, *_mutants(cert)):
+                got = _verdict(verify_certificate, probe, truncation)
+                assert got == _verdict(_old_verify_certificate, probe, truncation), (
+                    probe, truncation)
+                seen[got if isinstance(got, bool) else "raised"] += 1
+    assert built == {"T3": 844, "J3": 1892}      # gaps >= 2, two nonzero eps; T3 a_0 > 0
+    assert seen[True] and seen[False] and seen["raised"]

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from qcgroups.circle import UnitRational, signed_residue
+from qcgroups.cli import main
 from qcgroups.duality import ResidueSet, in_t_plus, polar_residues
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence
@@ -35,6 +36,16 @@ def test_group_canonical_residues():
         n = 3 ** M
         for x in range(-2 * n, 2 * n + 1):
             assert signed_residue(x, n) == _canonical(x, n), (x, n)
+
+
+def test_group_validation(capsys):
+    # the truncated group Z(3^level) needs level >= 1; hull-j3 builds it
+    for level in ("0", "-1"):
+        assert main(["hull-j3", "--level", level, "--set", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "level must be >= 1" in out.err
+    assert main(["hull-j3", "--level", "1", "--set", "0"]) == 0
+    assert '"order": 3' in capsys.readouterr().out
 
 
 def test_prufer_char_record():

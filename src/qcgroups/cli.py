@@ -5,6 +5,13 @@ rational strings ("p/q") or integers, sets are emitted in canonical
 order, and keys are sorted, so output is byte-deterministic for a fixed
 invocation.  Exit status: 0 success, 1 a verified mathematical property
 failed, 2 invalid input or configuration.
+
+The JSON is exactly json.dumps(payload, sort_keys=True, indent=2), written
+by _write: str -> int dicts and all-int or all-str lists in one join each,
+other scalars through the compact (C) encoder.  Grid sets are read as
+integer (num, den) pairs; only tokens that are not plain "p" or "p/q"
+go through Fraction.  One argparse tree, built by the first main call,
+serves every later call in the process.
 """
 
 from __future__ import annotations
@@ -12,9 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import acceptance
 from .circle import parse_rational, render_rational, signed_residue
@@ -79,10 +88,44 @@ def _largest_int(node) -> int:
     return abs(node) if isinstance(node, int) else 0
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode          # compact, so CPython's C encoder
+
+
+def _write(node, indent: str) -> str:
+    """node as json.dumps(node, sort_keys=True, indent=2) writes it at this indent.
+
+    str -> int dicts and all-int or all-str lists are written in one join;
+    a dict with a non-str key is left to json.dumps itself.
+    """
+    inner = indent + "  "
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        if not all(isinstance(k, str) for k in node):
+            return json.dumps(node, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        if all(type(v) is int for v in node.values()):
+            parts = [f"{_encode_str(k)}: {v}" for k, v in sorted(node.items())]
+        else:
+            parts = [f"{_encode_str(k)}: {_write(v, inner)}" for k, v in sorted(node.items())]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        if all(type(v) is int for v in node):
+            parts = map(int.__repr__, node)
+        elif all(type(v) is str for v in node):
+            parts = map(_encode_str, node)
+        else:
+            parts = [_write(v, inner) for v in node]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    return _encode_scalar(node)
+
+
 def _dumps(payload: dict) -> str:
     """Canonical JSON; an integer past Python's int-to-str limit is an input error."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _write(payload, "")
     except ValueError as exc:
         raise too_long_to_print(_largest_int(payload)) from exc
 
@@ -95,26 +138,49 @@ def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _parse_rational_set(text: str) -> list[Fraction]:
+def _set_items(text: str) -> list[str]:
     items = [t for t in text.split(",") if t.strip() != ""]
-    if not items:
-        raise InvalidInputError("empty set")
-    return [parse_rational(t) for t in items]
-
-
-def _parse_int_set(text: str) -> list[int]:
-    try:
-        items = [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad integer set {quote_input(text)}") from exc
     if not items:
         raise InvalidInputError("empty set")
     return items
 
 
+def _parse_rational_set(text: str) -> list[Fraction]:
+    return [parse_rational(t) for t in _set_items(text)]
+
+
+def _parse_int_set(text: str) -> list[int]:
+    items = _set_items(text)
+    try:
+        return [int(t) for t in items]
+    except ValueError as exc:
+        raise InvalidInputError(f"bad integer set {quote_input(text)}") from exc
+
+
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _grid_pair(token: str) -> tuple[int, int]:
+    """A --set token as a lowest-terms pair (num, den), den > 0.
+
+    "p" and "p/q" in ASCII digits are read as integers.  Any other form, a
+    zero denominator, or digits past the int-from-str limit go through
+    parse_rational, so the accepted inputs and the messages are Fraction's.
+    """
+    if m := _PLAIN_RATIONAL.fullmatch(token.strip()):
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:      # past the int-from-str digit limit
+            den = 0
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    f = parse_rational(token)
+    return f.numerator, f.denominator
+
+
 def _grid_input(args, cfg: RunConfig) -> ResidueSet:
-    values = _parse_rational_set(args.set)
-    E = ResidueSet.from_rationals(values, args.grid)
+    E = ResidueSet.from_pairs(map(_grid_pair, _set_items(args.set)), args.grid)
     cfg.check_grid(E.modulus)
     return E
 
@@ -396,9 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None       # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
         return args.func(args, cfg)

@@ -20,12 +20,17 @@ the overflow bound so every product is exact, and larger moduli are
 rejected.  Every test of "k*j/n lies in T_+" goes through in_t_plus.
 Both kernels shrink a candidate array: polar_residues keeps the
 characters that pass every element so far, and hull_residues the points
-that pass every character so far, so each pass runs only over the
-survivors.  The polar is walked in ascending order, which is why every
-witness is the smallest character that excludes its point.  Single CLI
-calls use these kernels; sweeps that repeat one modulus read the cached
-char_table(n), n <= 4096, whose row k packs the points p with k*p/n in
-T_+: a polar is an AND of rows and table_hull a second AND.  For n <= 64
+that pass every character so far.  Each step tests the survivors against
+the next w = max(1, _BLOCK // survivors) elements (or polar characters)
+in one outer product, so a step holds about _BLOCK = 2^16 cells: while
+the survivors are many it is one pass per element, and once they are few
+it takes thousands of elements at once.  The polar is walked in
+ascending order and each excluded point's witness is the first
+excluding character of its block, so every witness is the smallest
+character that excludes its point.  Single CLI calls use these kernels;
+sweeps that repeat one modulus read the cached char_table(n), n <= 4096,
+whose row k packs the points p with k*p/n in T_+: a polar is an AND of
+rows and table_hull a second AND.  For n <= 64
 a row is one uint64, and hull_masks / image_masks take the hulls and
 images of whole arrays of subsets, for a block of maps, in one gather per byte.
 
@@ -44,13 +49,13 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .circle import (HALF, RationalIntervalUnion, UnitRational, intersect_pairs,
-                     render_point)
+from .circle import HALF, RationalIntervalUnion, intersect_pairs, render_point
 from .errors import InvalidInputError, describe_int
 
 # products k*j with k, j < n must fit in int64
 _NUMPY_SAFE_MODULUS = 3_000_000_000
 _TABLE_MAX_MODULUS = 4096       # char_table holds n*n/8 bytes: 2 MiB at the cap
+_BLOCK = 1 << 16                # cells per kernel step: survivors x next elements
 
 
 def in_t_plus(r, n):
@@ -101,9 +106,13 @@ def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:
     elems = sorted({min(e % n, -e % n) for e in elems})    # e and -e: same row
     if not elems:
         raise InvalidInputError("polar of the empty set is not defined here")
+    elems = np.array(elems, dtype=np.int64)
     k = np.arange(n, dtype=np.int64)
-    for e in elems:
-        k = k[in_t_plus(k * e % n, n)]
+    i = 0
+    while i < len(elems):           # k holds 0, so it never empties
+        block = elems[i:i + max(1, _BLOCK // len(k))]
+        k = k[in_t_plus(np.outer(k, block) % n, n).all(axis=1)]
+        i += len(block)
     return frozenset(k.tolist())
 
 
@@ -115,14 +124,18 @@ def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[in
     """
     # -k gives the same row as k, and k <= n/2 comes first, so the witnesses
     # stay the smallest excluding characters
-    polar = [k for k in sorted(polar_residues(n, elems)) if 2 * k <= n]
+    polar = np.array([k for k in sorted(polar_residues(n, elems)) if 2 * k <= n], dtype=np.int64)
     alive = np.arange(n, dtype=np.int64)
     witness: dict[int, int] = {}
-    for k in polar:
-        ok = in_t_plus(alive * k % n, n)
-        for p in alive[~ok].tolist():
-            witness[p] = k
-        alive = alive[ok]
+    i = 0
+    while i < len(polar):           # alive holds 0, so it never empties
+        ks = polar[i:i + max(1, _BLOCK // len(alive))]
+        bad = ~in_t_plus(np.outer(alive, ks) % n, n)
+        out = bad.any(axis=1)
+        if out.any():               # argmax: the first, so smallest, excluding character
+            witness.update(zip(alive[out].tolist(), ks[bad[out].argmax(axis=1)].tolist()))
+            alive = alive[~out]
+        i += len(ks)
     return frozenset(alive.tolist()), witness
 
 
@@ -231,20 +244,28 @@ class ResidueSet:
                            frozenset(r % self.modulus for r in self.residues))
 
     @classmethod
-    def from_rationals(cls, values: Iterable[Fraction],
-                       modulus: int | None = None) -> "ResidueSet":
-        """Grid set of the given rationals; the modulus defaults to their common denominator."""
-        vals = [UnitRational.from_fraction(v) for v in values]
-        need = 1
-        for v in vals:
-            need = need * v.den // gcd(need, v.den)
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]],
+                   modulus: int | None = None) -> "ResidueSet":
+        """Grid set of the rationals num/den, given as lowest-terms pairs with den > 0.
+
+        The modulus defaults to the common denominator; a given one must hold it.
+        """
+        pairs = list(pairs)
+        need = lcm(*{den for _, den in pairs})
         if modulus is None:
             modulus = need
         elif modulus % need:
             raise InvalidInputError(
                 f"grid modulus {describe_int(modulus)} does not hold denominators "
                 f"(need multiple of {describe_int(need)})")
-        return cls(modulus, frozenset(v.num * (modulus // v.den) for v in vals), "grid")
+        return cls(modulus, frozenset(num * (modulus // den) for num, den in pairs), "grid")
+
+    @classmethod
+    def from_rationals(cls, values: Iterable[Fraction],
+                       modulus: int | None = None) -> "ResidueSet":
+        """from_pairs on exact rationals."""
+        return cls.from_pairs(((f.numerator, f.denominator) for f in map(Fraction, values)),
+                              modulus)
 
     def render(self, residues: Iterable[int]) -> list:
         """The given residues as written in output: "p/q" strings on a grid, ints in Z(n)."""

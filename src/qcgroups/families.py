@@ -49,9 +49,10 @@ class GapSequence:
     @classmethod
     def from_text(cls, text: str) -> "GapSequence":
         try:
-            return cls(tuple(int(t) for t in text.split(",") if t.strip() != ""))
+            entries = tuple(int(t) for t in text.split(",") if t.strip() != "")
         except ValueError as exc:
             raise InvalidInputError(f"bad sequence text {quote_input(text)}") from exc
+        return cls(entries)     # outside the try: its own messages reach the user
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -86,9 +87,10 @@ class DivisibleChain:
     @classmethod
     def from_text(cls, text: str) -> "DivisibleChain":
         try:
-            return cls(tuple(int(t) for t in text.split(",") if t.strip() != ""))
+            entries = tuple(int(t) for t in text.split(",") if t.strip() != "")
         except ValueError as exc:
             raise InvalidInputError(f"bad chain text {quote_input(text)}") from exc
+        return cls(entries)     # outside the try: its own messages reach the user
 
     @property
     def ratios(self) -> tuple[int, ...]:

@@ -160,8 +160,8 @@ def _bad_point_in(A: Fraction, B: Fraction) -> Fraction:
     [A, B] may be degenerate: an isolated polar point whose image misses
     T_+ is its own witness.
     """
-    t0 = A.numerator // A.denominator
-    for t in (t0 - 1, t0, t0 + 1):
+    t0 = A.numerator // A.denominator       # the region (t0 - 3/4, t0 - 1/4) ends below A
+    for t in (t0, t0 + 1):
         lo = max(A, t + QUARTER)
         hi = min(B, t + 3 * QUARTER)
         if lo > hi:
@@ -200,9 +200,10 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
     scaled = [alpha * p for p in S.points]
     M = S.max_abs()
     grid = ResidueSet.from_rationals(scaled)
+    candidates = sorted(hull(grid).hull.residues)   # rejects a grid too large before the sweep
     polar = polar_R(S)
     out = set()
-    for j in sorted(hull(grid).hull.residues):
+    for j in candidates:
         z = Fraction(signed_residue(j, grid.modulus), grid.modulus) / alpha
         if abs(z) > M:
             continue

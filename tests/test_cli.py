@@ -4,11 +4,18 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcgroups import cli
+from qcgroups.circle import parse_rational
 from qcgroups.cli import main
+from qcgroups.duality import ResidueSet
+from qcgroups.errors import InvalidInputError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -213,11 +220,124 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("error: ") and len(err.encode()) < 200, err[:200]
         assert err.endswith(" characters)\n"), err
+    # a sequence or chain that parses keeps its own validation message
+    for argv, message in ((["family-verdict", "--family", "T2", "--seq", "3,1"],
+                           "entries must be strictly increasing"),
+                          (["family-verdict", "--family", "chain", "--seq", "4,6"],
+                           "chain must be increasing and divisible")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
     # a flag of the other family is rejected, not ignored
     for argv, flag in ((["q12", "--family", "T3", "--seq", "1,3", "--level", "9"], "--level"),
                        (["q12", "--family", "J3", "--seq", "0,2", "--grid", "9"], "--grid")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and f"{flag} belongs to --family" in err
+
+
+def test_hull_r_rejects_a_large_grid_before_the_sweep(capsys):
+    # the grid modulus 1000003 * 999983 is over the kernel cap; the polar sweep
+    # of the same set would take seconds before that was found
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hull-r", "--set", "1/1000003,1/999983")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: modulus 999985999949 must lie in 1..3000000000\n"
+
+
+# every form a --set token can take: plain integers and fractions (read as
+# ints), and forms only Fraction reads or rejects
+GRID_TOKENS = ["+3/6", "-0", "1/0", "1/ 2", "1.5", "1e-3", "1_000", "\u0663/4", "9" * 5000,
+               "1/" + "7" * 5000, " -12/8 ", "007/08", "0/5", "+0", "-5", "1/-2", "--1", "1//2",
+               "abc", "3/4/5", "\t2/3\n", "0x10", "1/2e1"]
+
+
+def _grid_pair_or_message(token):
+    try:
+        return cli._grid_pair(token)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def _fraction_pair_or_message(token):
+    try:
+        f = parse_rational(token)
+    except InvalidInputError as exc:
+        return str(exc)
+    return f.numerator, f.denominator
+
+
+@pytest.mark.parametrize("token", GRID_TOKENS, ids=lambda t: repr(t)[:20])
+def test_grid_tokens_read_as_fractions_read_them(token):
+    got = _grid_pair_or_message(token)
+    assert got == _fraction_pair_or_message(token)
+    if isinstance(got, tuple):
+        den = got[1]
+        for modulus in (None, 12 * den):
+            assert (ResidueSet.from_pairs([got, (1, 4)], modulus)
+                    == ResidueSet.from_rationals([parse_rational(token), Fraction(1, 4)], modulus))
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 10 ** 30), st.sampled_from(["", "+", " "]),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_plain_grid_tokens_match_fraction(num, den, prefix, whole):
+    token = f"{prefix}{num}" if whole else f"{prefix}{num}/{den}"
+    assert _grid_pair_or_message(token) == _fraction_pair_or_message(token)
+
+
+# the writer against json.dumps: its fast paths (str -> int dicts, all-int and
+# all-str lists) and the general one, on trees with bools, None, escapes,
+# non-ASCII text, non-str keys and ints past the int-to-str digit limit
+_HUGE = st.builds(lambda d, sign: sign * 10 ** d, st.integers(4300, 4400), st.sampled_from([1, -1]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                     st.floats(), _HUGE)
+_JSON_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.lists(st.text(max_size=6), max_size=5),
+        st.dictionaries(st.text(max_size=6), st.one_of(st.integers(), st.booleans(), _HUGE),
+                        max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.tuples(children, children)),
+    max_leaves=25)
+
+
+@given(_JSON_TREES)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps(tree):
+    try:
+        want = json.dumps(tree, sort_keys=True, indent=2)
+    except ValueError:
+        with pytest.raises(InvalidInputError, match="too long to print"):
+            cli._dumps(tree)
+    else:
+        assert cli._dumps(tree) == want
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    argvs = [argv for argv, _ in GOLDEN[:8]]
+    argvs += [["hull-zn", "--n", "0", "--set", "1"], ["hull-zn", "--n", "24", "--set", "1", "--jobs", "2"],
+              ["family-verdict", "--family", "T2", "--seq", "3,1"]]
+
+    def call(argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:            # usage errors
+            return exc.code, *capsys.readouterr()
+
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(call(argv))
+    built = []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
+    for _ in range(2):                       # alternating subcommands, one parser
+        assert [call(argv) for argv in argvs] == fresh
+    assert built == [1]
 
 
 def test_jobs_belongs_to_verify_paper_only(capsys):

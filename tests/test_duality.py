@@ -138,6 +138,59 @@ def test_kernel_matches_dense_oracle(n, elems):
     assert set(np.flatnonzero(table_hull(n, elems)).tolist()) == hull_set
 
 
+def _per_element_polar(n, elems):
+    """The kernel before block-wide steps: one pass over the surviving characters per element."""
+    k = np.arange(n, dtype=np.int64)
+    for e in sorted({min(e % n, -e % n) for e in elems}):
+        k = k[in_t_plus(k * e % n, n)]
+    return frozenset(k.tolist())
+
+
+def _per_element_hull(n, elems):
+    """The hull before block-wide steps: one pass over the surviving points per character."""
+    alive = np.arange(n, dtype=np.int64)
+    witness = {}
+    for k in sorted(_per_element_polar(n, elems)):
+        if 2 * k <= n:
+            ok = in_t_plus(alive * k % n, n)
+            witness.update((p, k) for p in alive[~ok].tolist())
+            alive = alive[ok]
+    return frozenset(alive.tolist()), witness
+
+
+def _assert_block_kernels_match(n, elems):
+    assert polar_residues(n, elems) == _per_element_polar(n, elems), (n, len(elems))
+    got, witnesses = hull_residues(n, elems)
+    want, want_witnesses = _per_element_hull(n, elems)
+    assert got == want, (n, len(elems))
+    assert witnesses == want_witnesses, (n, len(elems))
+
+
+@pytest.mark.parametrize("n", [729, 1000, 2048, 2187, 4095, 4096])
+def test_block_kernels_match_the_per_element_kernels(n):
+    # at n <= 4096 every step tests at least 16 elements or characters at once
+    rng = np.random.default_rng(n)
+    for size in (1, 3, 40, 300, 1200, 3000):
+        size = min(size, n)
+        _assert_block_kernels_match(n, rng.choice(n, size, replace=False).tolist())
+        w = size // 2                                   # the arc [-w, w]
+        _assert_block_kernels_match(n, [i % n for i in range(-w, w + 1)])
+
+
+def test_block_kernels_step_one_at_a_time_above_the_block():
+    # n > 2^16: the first steps are single passes, later ones widen
+    n = 2 ** 17
+    for elems in ([0, 1, n - 1, 3 * 2 ** 12], [5, 2 ** 15 + 1, 777, 4096 * 7 + 3]):
+        _assert_block_kernels_match(n, elems)
+
+
+@given(st.integers(min_value=1, max_value=300), st.data())
+@settings(max_examples=100, deadline=None)
+def test_block_kernels_match_per_element_on_small_moduli(n, data):
+    elems = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    _assert_block_kernels_match(n, elems)
+
+
 def _bits(mask, n):
     return {j for j in range(n) if (int(mask) >> j) & 1}
 

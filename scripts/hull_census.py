@@ -15,24 +15,27 @@ from __future__ import annotations
 import argparse
 from itertools import combinations
 
+from qcgroups.circle import render_point
 from qcgroups.duality import hull
 from qcgroups.families import (GapSequence, points_K2, points_K3, verdict_J3,
                                verdict_T2, verdict_T3)
 from qcgroups.padic import L3_truncate
 
+# family: (verdict, truncated set, point writer: "p/q" on a grid, the residue in Z(3^M))
 FAMILIES = {
-    "T2": (verdict_T2, lambda a: points_K2(a)),
-    "T3": (verdict_T3, lambda a: points_K3(a)),
-    "J3": (verdict_J3, lambda a: L3_truncate(a, a.entries[-1] + 2)),
+    "T2": (verdict_T2, lambda a: points_K2(a), render_point),
+    "T3": (verdict_T3, lambda a: points_K3(a), render_point),
+    "J3": (verdict_J3, lambda a: L3_truncate(a, a.entries[-1] + 2), lambda r, n: r),
 }
 
 
 def truncation_report(kind: str, a: GapSequence) -> list[str]:
+    _, points, write = FAMILIES[kind]
     lines = []
     for t in range(1, len(a) + 1):
         prefix = a.prefix(t)
-        E = FAMILIES[kind][1](prefix)
-        extra = sorted(E.render(hull(E).hull.residues - E.residues))
+        E = points(prefix)
+        extra = sorted(write(r, E.modulus) for r in hull(E).hull - E.residues)
         label = (f"Z(3^{prefix.entries[-1] + 2})" if kind == "J3"
                  else f"grid {E.modulus}")
         status = "quasi-convex" if not extra else f"hull gains {extra[:4]}"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circle import UnitRational, tm_interval
 from .duality import (ResidueSet, char_polar_intervals, char_table,
-                      check_two_x_equivalence, hull, hull_contains, hull_masks,
+                      check_two_x_equivalence, hull, hull_masks,
                       hull_residues, image_masks, pushforward_check, table_hull)
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
@@ -122,7 +122,7 @@ def criterion_04() -> CriterionResult:
     E = points_K3(a, 3 ** 9)
     rep = hull(E)
     if not rep.is_quasi_convex():
-        extra = sorted(rep.hull.residues - E.residues)[:4]
+        extra = sorted(rep.hull - E.residues)[:4]
         return _fail(ident, desc, f"hull gained {extra}", t0)
     certs = 0
     for eps in product((-1, 0, 1), repeat=4):
@@ -143,7 +143,7 @@ def criterion_04() -> CriterionResult:
         expected_eval = UnitRational.from_fraction(closed + rem)
         if expected_eval != cert.evaluation:
             return _fail(ident, desc, f"evaluation mismatch for eps={eps}", t0)
-        if _grid_residue(cert.target, E.modulus) in rep.hull.residues:
+        if _grid_residue(cert.target, E.modulus) in rep.hull:
             return _fail(ident, desc, f"target {cert.target} not excluded", t0)
         certs += 1
     return _ok(ident, desc, f"hull == set on grid 3^9; {certs} certificates verified", t0)
@@ -156,12 +156,12 @@ def criterion_05() -> CriterionResult:
     rep = hull(E)
     translate = UnitRational(1, 3) + UnitRational(1, 27)
     res = _grid_residue(translate, E.modulus)
-    if rep.is_quasi_convex() or res not in rep.hull.residues or res in E.residues:
+    if rep.is_quasi_convex() or res not in rep.hull or res in E.residues:
         return _fail(ident, desc, "translate point 10/27 missing from hull", t0)
     E2 = points_K3(GapSequence.of(1, 2))
     rep2 = hull(E2)
     res2 = _grid_residue(UnitRational(2, 27), E2.modulus)
-    if res2 not in rep2.hull.residues or res2 in E2.residues:
+    if res2 not in rep2.hull or res2 in E2.residues:
         return _fail(ident, desc, "2/27 missing from hull of {0,+-1/9,+-1/27}", t0)
     return _ok(ident, desc, "both contaminations exhibited on their grids", t0)
 
@@ -188,7 +188,7 @@ def criterion_06() -> CriterionResult:
         certs += 1
     for m in range(2, 7):
         n = 3 ** m
-        if not hull_contains(n, {1, 3, n - 1, n - 3, 0}, 2):
+        if 2 not in hull(ResidueSet(n, {1, 3, n - 1, n - 3, 0})).hull:
             return _fail(ident, desc, f"2 missing from hull of {{0,+-1,+-3}} in Z(3^{m})", t0)
     return _ok(ident, desc, f"{certs} certificates verified; contamination at levels 2..6", t0)
 
@@ -291,7 +291,7 @@ def criterion_10() -> CriterionResult:
                                    Fraction(1, 8), Fraction(-1, 8)])
     h = hull(X)
     res = _grid_residue(UnitRational(5, 8), 8)
-    if res not in h.hull.residues or res in X.residues:
+    if res not in h.hull or res in X.residues:
         return _fail(ident, desc, "translate contamination missing for (2,8)", t0)
 
     rep = necessary_report_T(DivisibleChain.from_text("9,27,81"))
@@ -301,7 +301,7 @@ def criterion_10() -> CriterionResult:
         [Fraction(0)] + [s * Fraction(1, b) for b in (9, 27, 81) for s in (1, -1)])
     h = hull(X)
     res = _grid_residue(UnitRational(2, 27), 81)
-    if res not in h.hull.residues or res in X.residues:
+    if res not in h.hull or res in X.residues:
         return _fail(ident, desc, "2/27 missing from hull for (9,27,81)", t0)
 
     cases = 0
@@ -319,7 +319,7 @@ def criterion_10() -> CriterionResult:
             X = ResidueSet.from_rationals(pts)
             h = hull(X)
             res = _grid_residue(UnitRational.from_fraction(wit), X.modulus)
-            if res not in h.hull.residues or res in X.residues:
+            if res not in h.hull or res in X.residues:
                 return _fail(ident, desc, f"witness {wit} missing from T-hull of {terms}", t0)
             S = RealFiniteSet(pts)
             if not member_hull_R(S, wit).inside or wit in S.points:
@@ -372,7 +372,7 @@ def criterion_11() -> CriterionResult:
     # quotient Z(27) -> Z(9): genuinely all E of size <= 3
     for r in (1, 2, 3):
         for E in combinations(range(27), r):
-            if not pushforward_check(ResidueSet(27, E, "cyclic"), 3):
+            if not pushforward_check(ResidueSet(27, E), 3):
                 return _fail(ident, desc, f"quotient Z(27)->Z(9) failed for E={E}", t0)
             checked += 1
     # quotient Z(3^7) -> Z(3^4): family-shaped generator pool
@@ -380,7 +380,7 @@ def criterion_11() -> CriterionResult:
                   | {1, 2, 4, 5, 7, 13})
     for r in (1, 2, 3):
         for E in combinations(pool, r):
-            if not pushforward_check(ResidueSet(3 ** 7, E, "cyclic"), 27):
+            if not pushforward_check(ResidueSet(3 ** 7, E), 27):
                 return _fail(ident, desc, f"quotient Z(3^7)->Z(3^4) failed for E={E}", t0)
             checked += 1
     return _ok(ident, desc, f"{checked} (E, f) pairs", t0)

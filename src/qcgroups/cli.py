@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import acceptance
-from .circle import parse_rational, render_rational, signed_residue
+from .circle import parse_rational, render_point, render_rational, signed_residue
 from .duality import ResidueSet, hull, polar
 from .errors import (InvalidInputError, describe_int, quote_input,
                      too_long_to_print)
@@ -193,24 +193,37 @@ def cmd_polar_t(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _emit_hull(cfg: RunConfig, E: ResidueSet, point, head: dict, label: str) -> None:
+    """hull(E) as the input, hull, witnesses and quasi_convex keys after `head`.
+
+    point(r, n) writes residue r mod n; the text output is "label: hull".
+    """
+    rep = hull(E)
+    n = E.modulus
+    keys = {"input": sorted(point(r, n) for r in E.residues),
+            "hull": sorted(point(r, n) for r in rep.hull),
+            "witnesses": {str(point(r, n)): k for r, k in rep.witnesses.items()},
+            "quasi_convex": rep.is_quasi_convex()}
+    _emit(cfg, {**head, **keys},
+          lambda: [f"{label}: {keys['hull']}", f"quasi-convex: {keys['quasi_convex']}"])
+
+
+def _residue(r: int, n: int) -> int:
+    return r
+
+
 def cmd_hull_t(args, cfg: RunConfig) -> int:
     E = _grid_input(args, cfg)
-    rep = hull(E)
-    _emit(cfg, {"op": "hull-t", **rep.as_json(),
-                "quasi_convex": rep.is_quasi_convex()},
-          lambda: [f"hull: {rep.as_json()['hull']}",
-                   f"quasi-convex: {rep.is_quasi_convex()}"])
+    _emit_hull(cfg, E, render_point, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
+               "hull")
     return 0
 
 
 def cmd_hull_zn(args, cfg: RunConfig) -> int:
     cfg.check_cyclic(args.n)
-    E = ResidueSet(args.n, _parse_int_set(args.set), "cyclic")
-    rep = hull(E)
-    _emit(cfg, {"op": "hull-zn", **rep.as_json(),
-                "quasi_convex": rep.is_quasi_convex()},
-          lambda: [f"hull in Z({args.n}): {sorted(rep.hull.residues)}",
-                   f"quasi-convex: {rep.is_quasi_convex()}"])
+    E = ResidueSet(args.n, _parse_int_set(args.set))
+    _emit_hull(cfg, E, _residue, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
+               f"hull in Z({args.n})")
     return 0
 
 
@@ -219,16 +232,9 @@ def cmd_hull_j3(args, cfg: RunConfig) -> int:
         raise InvalidInputError("level must be >= 1")
     cfg.check_power_of_3(args.level)
     n = 3 ** args.level
-    E = ResidueSet(n, _parse_int_set(args.set), "cyclic")
-    rep = hull(E)
-    canon = sorted(signed_residue(e, n) for e in rep.hull.residues)
-    witnesses = {str(signed_residue(p, n)): k for p, k in sorted(rep.witnesses.items())}
-    _emit(cfg, {"op": "hull-j3", "level": args.level, "order": n,
-                "input": sorted(signed_residue(e, n) for e in E.residues),
-                "hull": canon, "witnesses": witnesses,
-                "quasi_convex": rep.is_quasi_convex()},
-          lambda: [f"hull in Z(3^{args.level}): {canon}",
-                   f"quasi-convex: {rep.is_quasi_convex()}"])
+    E = ResidueSet(n, _parse_int_set(args.set))
+    _emit_hull(cfg, E, signed_residue, {"op": "hull-j3", "level": args.level, "order": n},
+               f"hull in Z(3^{args.level})")
     return 0
 
 
@@ -307,11 +313,10 @@ def cmd_q12(args, cfg: RunConfig) -> int:
     cfg.check_power_of_3(exponent)
     q12 = q12_set(a, args.family, exponent)
     eps = epsilon_forms(a, args.family, exponent)
+    point = render_point if args.family == "T3" else signed_residue
 
     def ser(S: ResidueSet) -> list:
-        if S.carrier == "grid":
-            return sorted(S.render(S.residues))
-        return sorted(signed_residue(x, S.modulus) for x in S.residues)
+        return sorted(point(r, S.modulus) for r in S.residues)
 
     _emit(cfg, {"op": "q12", "family": args.family, "exponent": exponent,
                 "q12": ser(q12), "epsilon_forms": ser(eps), "equal": q12 == eps},

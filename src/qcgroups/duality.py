@@ -10,10 +10,10 @@ computations.  The same arithmetic serves Z(n) with the pairing
 chi_k(x) = kx/n.
 
 So every finite set here is one ResidueSet: a modulus n and residues mod
-n, with a carrier ("grid" or "cyclic") that only decides how points are
-written and whether the quotient check pushforward_check applies.
-polar(E) and hull(E) serve both carriers; the polar of either lies in
-the character group Z(n).
+n.  The grid (1/n)Z/Z and Z(n) are one group, r/n <-> r, so polar(E)
+and hull(E) return residues whichever of the two E came from; the
+polar lies in the character group Z(n).  How a point is written
+("p/q", a residue, a signed residue) is the caller's choice.
 
 The hot loops run on int64 numpy vectors; moduli are capped well below
 the overflow bound so every product is exact, and larger moduli are
@@ -45,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
-from .circle import HALF, RationalIntervalUnion, intersect_pairs, render_point
+from .circle import HALF, RationalIntervalUnion, intersect_pairs
 from .errors import InvalidInputError, describe_int
 
 # products k*j with k, j < n must fit in int64
@@ -139,13 +139,6 @@ def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[in
     return frozenset(alive.tolist()), witness
 
 
-def hull_contains(n: int, gens: Iterable[int], target: int) -> bool:
-    """target in Q(gens) without materializing the full hull."""
-    polar = polar_residues(n, gens)
-    target %= n
-    return all(in_t_plus(k * target % n, n) for k in polar)
-
-
 @lru_cache(maxsize=16)       # criterion-09 cycles through its grids, the quotient check n and n/d
 def char_table(n: int) -> np.ndarray:
     """Read-only, symmetric n x ceil(n/8) uint8 table: row k packs {p : k*p/n in T_+}, bit p."""
@@ -217,29 +210,16 @@ def image_masks(n: int, masks: np.ndarray, ks: Iterable[int]) -> np.ndarray:
     return _gather(np.bitwise_or, _byte_tables(np.bitwise_or, np.uint64(0), rows), masks)
 
 
-Carrier = Literal["grid", "cyclic"]
-
-# the JSON key that names the modulus, per carrier
-_MODULUS_KEY = {"grid": "modulus", "cyclic": "order"}
-
-
 @dataclass(frozen=True)
 class ResidueSet:
-    """A finite set of residues mod n: a subset of Z(n), or of the grid (1/n)Z/Z.
-
-    The carrier only decides how points are written ("p/q" on a grid, the
-    integer itself in Z(n)) and whether pushforward_check applies (Z(n) only).
-    """
+    """A finite set of residues mod n: a subset of Z(n), or of the grid (1/n)Z/Z."""
 
     modulus: int
     residues: frozenset[int]
-    carrier: Carrier
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise InvalidInputError("modulus must be positive")
-        if self.carrier not in _MODULUS_KEY:
-            raise InvalidInputError(f"unknown carrier {self.carrier!r}")
         object.__setattr__(self, "residues",
                            frozenset(r % self.modulus for r in self.residues))
 
@@ -258,7 +238,7 @@ class ResidueSet:
             raise InvalidInputError(
                 f"grid modulus {describe_int(modulus)} does not hold denominators "
                 f"(need multiple of {describe_int(need)})")
-        return cls(modulus, frozenset(num * (modulus // den) for num, den in pairs), "grid")
+        return cls(modulus, frozenset(num * (modulus // den) for num, den in pairs))
 
     @classmethod
     def from_rationals(cls, values: Iterable[Fraction],
@@ -267,57 +247,36 @@ class ResidueSet:
         return cls.from_pairs(((f.numerator, f.denominator) for f in map(Fraction, values)),
                               modulus)
 
-    def render(self, residues: Iterable[int]) -> list:
-        """The given residues as written in output: "p/q" strings on a grid, ints in Z(n)."""
-        if self.carrier == "cyclic":
-            return list(residues)
-        n = self.modulus
-        return [render_point(r, n) for r in residues]
-
 
 @dataclass(frozen=True)
 class HullReport:
-    """Hull of a finite set plus one verified excluding character per outside point."""
+    """hull(E) as residues, with one verified excluding character per outside point."""
 
     input_set: ResidueSet
-    hull: ResidueSet
+    hull: frozenset[int]
     witnesses: dict[int, int]
 
     def is_quasi_convex(self) -> bool:
-        return self.input_set.residues == self.hull.residues
-
-    def as_json(self) -> dict:
-        E = self.input_set
-        excluded = sorted(self.witnesses)
-        return {
-            "kind": E.carrier,
-            _MODULUS_KEY[E.carrier]: E.modulus,
-            "input": sorted(E.render(E.residues)),
-            "hull": sorted(E.render(self.hull.residues)),
-            "witnesses": {str(p): self.witnesses[r]
-                          for r, p in zip(excluded, E.render(excluded))},
-        }
+        return self.input_set.residues == self.hull
 
 
 def polar(E: ResidueSet) -> ResidueSet:
     """The polar of E; characters of Z(n) and of the grid (1/n)Z/Z both live in Z(n)."""
-    return ResidueSet(E.modulus, polar_residues(E.modulus, E.residues), "cyclic")
+    return ResidueSet(E.modulus, polar_residues(E.modulus, E.residues))
 
 
 def hull(E: ResidueSet) -> HullReport:
-    hull_set, wit = hull_residues(E.modulus, E.residues)
-    return HullReport(E, ResidueSet(E.modulus, hull_set, E.carrier), wit)
+    return HullReport(E, *hull_residues(E.modulus, E.residues))
 
 
 def pushforward_check(E: ResidueSet, d: int) -> bool:
     """True iff the quotient q: Z(n) -> Z(n/d) maps hull(E) into hull(q(E)), n <= 4096.
 
-    This inclusion is a theorem for continuous homomorphisms, so a False
-    return flags an implementation bug rather than a mathematical fact.
+    On the grid (1/n)Z/Z, q is multiplication by d.  This inclusion is a
+    theorem for continuous homomorphisms, so a False return flags an
+    implementation bug rather than a mathematical fact.
     """
     n = E.modulus
-    if E.carrier != "cyclic":
-        raise InvalidInputError("quotient map applies to cyclic carriers")
     if d < 1 or n % d:
         raise InvalidInputError(f"{d} does not divide the order {n}")
     m = n // d

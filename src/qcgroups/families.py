@@ -338,7 +338,7 @@ def _points_grid(a: GapSequence, p: int, modulus: int | None) -> ResidueSet:
         j = modulus // p ** (an + 1)
         pts.add(j)
         pts.add(modulus - j)
-    return ResidueSet(modulus, frozenset(pts), "grid")
+    return ResidueSet(modulus, frozenset(pts))
 
 
 def points_K2(a: GapSequence, modulus: int | None = None) -> ResidueSet:

@@ -1,10 +1,10 @@
 """Truncated 3-adic integers Z(3^M), Pruefer-dual characters, J_m and Q1∩Q2.
 
 Everything happens in a finite quotient at an explicit level M; there is
-no infinite-precision p-adic arithmetic here.  Elements are written as
-the signed residue in (-3^M/2, 3^M/2] (circle.signed_residue; 3^M is
-odd, so that window is exactly the integers of absolute value
-<= (3^M - 1)/2).
+no infinite-precision p-adic arithmetic here.  Sets are ResidueSets of
+residues mod 3^M; the CLI writes an element of Z(3^M) as its signed
+residue in (-3^M/2, 3^M/2] (circle.signed_residue; 3^M is odd, so that
+window is exactly the integers of absolute value <= (3^M - 1)/2).
 
 The character zeta_k sends 1 to 3^-(k+1), so m*zeta_k sends x to the
 residue m*x mod 3^(k+1); it factors through Z(3^M) precisely when
@@ -16,7 +16,8 @@ i -> M-1-i.  The J3 point 3^(a_n) is the residue 3^(a_n), and m*zeta_k
 acts on Z(3^M) as multiplication by m*3^(M-1-k); the T3 point 3^-(a_n+1)
 is the grid residue 3^(M-1-a_n) of (1/3^M)Z/Z, and m*eta_k acts as m*3^k.
 So compute_Jm, epsilon_forms and q12_set run one integer computation for
-either family; _in_Z3M places a family in Z(3^M) and holds the flip.
+either family, and return residues mod 3^M for either; _in_Z3M places a
+family in Z(3^M) and holds the flip.
 """
 
 from __future__ import annotations
@@ -56,13 +57,9 @@ def level_for(a: GapSequence) -> int:
     return a.entries[-1] + 2
 
 
-_CARRIERS = {"T3": "grid", "J3": "cyclic"}
-
-
-def _carrier(kind: FamilyKind) -> str:
-    if kind not in _CARRIERS:
+def _check_kind(kind: FamilyKind) -> None:
+    if kind not in ("T3", "J3"):
         raise InvalidInputError(f"unknown base-3 family {kind!r}; expected T3 or J3")
-    return _CARRIERS[kind]
 
 
 def _in_Z3M(a: GapSequence, kind: FamilyKind, exponent: int) -> tuple[int, list[int], list[int]]:
@@ -75,7 +72,7 @@ def _in_Z3M(a: GapSequence, kind: FamilyKind, exponent: int) -> tuple[int, list[
     carrier resolution act trivially); 0 acts trivially and keeps a polar
     nonempty.
     """
-    _carrier(kind)
+    _check_kind(kind)
     a.require_nonnegative()
     if a.entries[-1] >= exponent:
         raise InvalidInputError(
@@ -101,7 +98,7 @@ def compute_Jm(a: GapSequence, m: int, k_max: int, kind: FamilyKind) -> frozense
     decides it exactly, so no test builds 3^k.  The result is the
     complement of the entries of `a` in [0, k_max].
     """
-    _carrier(kind)
+    _check_kind(kind)
     if m not in (1, 2):
         raise InvalidInputError("J_m is computed for m in {1, 2} only")
     if k_max < 0:
@@ -118,27 +115,28 @@ def compute_Jm(a: GapSequence, m: int, k_max: int, kind: FamilyKind) -> frozense
 def epsilon_forms(a: GapSequence, kind: FamilyKind, exponent: int) -> ResidueSet:
     """All sums sum_n eps_n * (family point), eps_n in {-1,0,1}, in Z(3^exponent).
 
-    A grid set for T3 and a cyclic one for J3.  Distinct coefficient
-    vectors never collide (balanced-digit uniqueness); this is checked.
+    Residues of the grid (1/3^exponent)Z/Z for T3 and of Z(3^exponent) for
+    J3.  Distinct coefficient vectors never collide (balanced-digit
+    uniqueness); this is checked.
     """
     n, points, _ = _in_Z3M(a, kind, exponent)
     acc = {0}
     for y in points:
         acc = {s + e * y for s in acc for e in (-1, 0, 1)}
-    forms = ResidueSet(n, frozenset(acc), _carrier(kind))
+    forms = ResidueSet(n, frozenset(acc))
     if len(forms.residues) != 3 ** len(points):
         raise RuntimeError("epsilon forms collided; implementation bug")
     return forms
 
 
 def q12_set(a: GapSequence, kind: FamilyKind, exponent: int) -> ResidueSet:
-    """Finite analogue of Q_1 int Q_2: carrier points passing every J_1=J_2 test.
+    """Finite analogue of Q_1 int Q_2: the points passing every J_1=J_2 test.
 
-    The polar in Z(3^exponent) of the test characters, as the same kind
-    of set as epsilon_forms for direct comparison.
+    The polar in Z(3^exponent) of the test characters, in the residues of
+    epsilon_forms for direct comparison.
     """
     n, _, chars = _in_Z3M(a, kind, exponent)
-    return ResidueSet(n, polar_residues(n, chars), _carrier(kind))
+    return ResidueSet(n, polar_residues(n, chars))
 
 
 def L3_truncate(a: GapSequence, level: int) -> ResidueSet:
@@ -157,4 +155,4 @@ def L3_truncate(a: GapSequence, level: int) -> ResidueSet:
         y = 3 ** an
         elems.add(y % n)
         elems.add((-y) % n)
-    return ResidueSet(n, frozenset(elems), "cyclic")
+    return ResidueSet(n, frozenset(elems))

@@ -177,9 +177,6 @@ def member_hull_R(S: RealFiniteSet, z: Fraction | int) -> HullMembership:
     z = Fraction(z)
     if z == 0:
         return HullMembership(True)
-    if all(p == 0 for p in S.points):
-        w = 1 / (2 * z)
-        return HullMembership(False, w)
     return polar_R(S).member(z)
 
 
@@ -194,13 +191,11 @@ def scale_into_half(S: RealFiniteSet) -> Fraction:
 
 def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
     """Q_R(S), exactly, as a finite set of rationals."""
-    if all(p == 0 for p in S.points):
-        return frozenset({Fraction(0)})
     alpha = scale_into_half(S)
     scaled = [alpha * p for p in S.points]
     M = S.max_abs()
     grid = ResidueSet.from_rationals(scaled)
-    candidates = sorted(hull(grid).hull.residues)   # rejects a grid too large before the sweep
+    candidates = sorted(hull(grid).hull)   # rejects a grid too large before the sweep
     polar = polar_R(S)
     out = set()
     for j in candidates:

@@ -42,6 +42,18 @@ def test_every_exported_name_is_used():
     assert sorted(set(qcgroups.__all__) - used) == []
 
 
+def test_only_circle_and_cli_refer_to_render_point():
+    # how a point is printed is the CLI's decision, made with circle's writer
+    def refers(node):
+        return ((isinstance(node, ast.Name) and node.id == "render_point")
+                or (isinstance(node, ast.Attribute) and node.attr == "render_point")
+                or (isinstance(node, ast.alias) and node.name == "render_point"))
+
+    found = sorted({path.name for path in PACKAGE.glob("*.py")
+                    for node in ast.walk(_tree(path)) if refers(node)})
+    assert set(found) <= {"circle.py", "cli.py"}, found
+
+
 def test_library_has_no_assert():
     # checks must survive python -O, which strips assert statements
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))

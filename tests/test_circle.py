@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcgroups.circle import RationalIntervalUnion, UnitRational, tm_interval
+from qcgroups.circle import RationalIntervalUnion, UnitRational, render_point, tm_interval
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -162,3 +162,10 @@ def test_rendering():
     assert str(U((F(-1, 4), F(1, 4)), (F(1, 2), F(1, 2)))) == "[-1/4,1/4]∪[1/2,1/2]"
     assert str(UnitRational(0)) == "0"
     assert str(UnitRational(10, 81)) == "10/81"
+
+
+def test_render_point():
+    assert [render_point(r, 8) for r in (7, 2)] == ["-1/8", "1/4"]
+    assert [render_point(r, 8) for r in (0, 4, 12, -6)] == ["0", "1/2", "1/2", "1/4"]
+    with pytest.raises(InvalidInputError, match="too long to print"):
+        render_point(1, 10 ** 5000)

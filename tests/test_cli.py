@@ -393,6 +393,10 @@ GOLDEN = [
      "3d83d91efa6774cb686c31b3ed4f30073941f667bc7262ba2f6ed5300f3b0418"),
     (["hull-t", "--set", "0,1/9,-1/9,1/27,-1/27", "--text"],
      "e6c7fa197c234e1cbd4a343fc96ca71f0801a464b735c858d6c980bc9694b757"),
+    (["hull-zn", "--n", "24", "--set", "1,3,6", "--text"],
+     "7ffb44a5536eb94faf5cb78ba665df3e2b85b7ee666c8cbb4df9d9558a35f73d"),
+    (["hull-j3", "--level", "7", "--set", "0,1,-1,9,-9,81,-81", "--text"],
+     "c486974dd3f428f82f4d2fbba54aec99523962897f5d8369046221601d202d43"),
     (["polar-r", "--set", "1/4"],
      "19c8205924aa52759517314fca1ced8bd5a4252eb27d8824251f2f0acb2b6158"),
     (["polar-r", "--set", "1/6,1/2,1", "--text"],
@@ -411,6 +415,9 @@ GOLDEN = [
     # negative values need the "=" form; Out, witness 39/16
     (["member-r", "--set=-1/3,1/3", "--target=-2/7"],
      "980d1c928653baa56111bd78d3403531dae1606c7b021cca569bbd3711badd01"),
+    # the all-zero set takes the general polar path; Out, witness 7/8
+    (["member-r", "--set", "0", "--target", "1/3"],
+     "6b9fb12529d60d688ad6f2cab632982b29b05705c5ef5cb572424b3f48d49f47"),
     # 6 s on Fraction arithmetic, under 1 s on the sweep's integer pairs
     (["hull-r", "--set", "1/3,1/65537"],
      "ecf870e70f82394d38e876fd2f910a586546fd03b3ecaa89d2ad2bce7c1f80a0"),

@@ -104,8 +104,8 @@ def test_Jm_matches_the_big_power_test(kind):
 
 def test_epsilon_forms_examples():
     assert epsilon_forms(GS(0, 2), "J3", 3) == ResidueSet(
-        27, frozenset({0, 1, -1, 9, -9, 10, -10, 8, -8}), "cyclic")
-    assert epsilon_forms(GS(1), "T3", 2) == ResidueSet(9, frozenset({0, 1, -1}), "grid")
+        27, frozenset({0, 1, -1, 9, -9, 10, -10, 8, -8}))
+    assert epsilon_forms(GS(1), "T3", 2) == ResidueSet(9, frozenset({0, 1, -1}))
     forms = epsilon_forms(GS(1, 3), "T3", 4)
     assert len(forms.residues) == 9
     assert {10, 8} <= forms.residues    # 10/81 and 8/81
@@ -129,7 +129,7 @@ def test_q12_equals_epsilon_forms_when_gaps_exceed_one():
 
 def test_q12_unconstrained_carrier():
     # a covers every index below the level: no constraints survive
-    assert q12_set(GS(0, 1, 2), "J3", 3) == ResidueSet(27, frozenset(range(27)), "cyclic")
+    assert q12_set(GS(0, 1, 2), "J3", 3) == ResidueSet(27, frozenset(range(27)))
 
 
 # The per-family formulas that the single Z(3^M) path replaced, kept as oracles.
@@ -176,7 +176,6 @@ def _as_old(S, kind, exponent):
 
 @pytest.mark.parametrize("kind", ["T3", "J3"])
 def test_one_path_matches_the_per_family_formulas(kind):
-    carrier = "grid" if kind == "T3" else "cyclic"
     seqs = [GapSequence(c) for r in range(1, 4) for c in combinations(range(7), r)]
     for a in seqs:
         amax = a.entries[-1]
@@ -186,7 +185,6 @@ def test_one_path_matches_the_per_family_formulas(kind):
         for exponent in range(amax + 1, amax + 4):
             eps, q12 = epsilon_forms(a, kind, exponent), q12_set(a, kind, exponent)
             assert eps.modulus == q12.modulus == 3 ** exponent
-            assert eps.carrier == q12.carrier == carrier
             assert _as_old(eps, kind, exponent) == _old_epsilon_forms(a, kind, exponent)
             assert _as_old(q12, kind, exponent) == _old_q12(a, kind, exponent), (a, exponent)
 

@@ -284,7 +284,7 @@ def criterion_09() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     ident, desc = "criterion-10", "chain necessity reports match brute-force contamination"
     t0 = time.time()
-    rep = necessary_report_T(DivisibleChain.from_text("2,8"))
+    rep = necessary_report_T(DivisibleChain((2, 8)))
     if rep.b0_ge_4 or rep.all_pass:
         return _fail(ident, desc, "(2,8) should fail b0 >= 4", t0)
     X = ResidueSet.from_rationals([Fraction(0), Fraction(1, 2), Fraction(-1, 2),
@@ -294,7 +294,7 @@ def criterion_10() -> CriterionResult:
     if res not in h.hull or res in X.residues:
         return _fail(ident, desc, "translate contamination missing for (2,8)", t0)
 
-    rep = necessary_report_T(DivisibleChain.from_text("9,27,81"))
+    rep = necessary_report_T(DivisibleChain((9, 27, 81)))
     if rep.no_q3_without_4_divisor or rep.all_pass:
         return _fail(ident, desc, "(9,27,81) should fail the q!=3 rule", t0)
     X = ResidueSet.from_rationals(
@@ -460,6 +460,8 @@ def _run_one(ident: str) -> CriterionResult:
 def run_all(idents: Optional[Iterable[str]] = None, jobs: int = 1,
             stream=None) -> list[CriterionResult]:
     """Run criteria (all by default); results come back in criterion order."""
+    if jobs < 1:
+        raise InvalidInputError("--jobs must be >= 1")
     wanted = list(idents) if idents is not None else list(CRITERIA)
     for ident in wanted:
         if ident not in CRITERIA:

@@ -4,7 +4,7 @@ Every computation is a subcommand; numbers in JSON output are exact
 rational strings ("p/q") or integers, sets are emitted in canonical
 order, and keys are sorted, so output is byte-deterministic for a fixed
 invocation.  Exit status: 0 success, 1 a verified mathematical property
-failed, 2 invalid input or configuration.
+failed, 2 invalid input.
 
 The JSON is exactly json.dumps(payload, sort_keys=True, indent=2), written
 by _write: str -> int dicts and all-int or all-str lists in one join each,
@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import acceptance
 from .circle import parse_rational, render_point, render_rational, signed_residue
-from .duality import ResidueSet, hull, polar
-from .errors import (InvalidInputError, describe_int, quote_input,
-                     too_long_to_print)
+from .duality import ResidueSet, check_power, hull, polar
+from .errors import InvalidInputError, quote_input, too_long_to_print
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, verdict_J3, verdict_R2, verdict_T2,
                        verdict_T3)
@@ -37,47 +34,6 @@ from .padic import compute_Jm, epsilon_forms, level_for, q12_set
 from .realline import RealFiniteSet, hull_R, member_hull_R, polar_R
 from .witnesses import (SCHEMA, certificate_from_json, exclusion_J3,
                         exclusion_T3, verify_certificate)
-
-DEFAULT_MAX_GRID = 2 ** 20
-DEFAULT_MAX_CYCLIC = 3 ** 13
-
-
-@dataclass
-class RunConfig:
-    output: str = "json"           # "json" | "text"
-    max_grid: int = DEFAULT_MAX_GRID
-    max_cyclic: int = DEFAULT_MAX_CYCLIC
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls(output="text" if getattr(args, "text", False) else "json")
-        override = os.environ.get("QCG_MAX_GRID")
-        if override:
-            try:
-                bound = int(override)
-            except ValueError as exc:
-                raise InvalidInputError(f"QCG_MAX_GRID={override!r} is not an integer") from exc
-            if bound < 1:
-                raise InvalidInputError("QCG_MAX_GRID must be positive")
-            cfg.max_grid = bound
-            cfg.max_cyclic = bound
-        return cfg
-
-    def check_grid(self, modulus: int) -> None:
-        if modulus > self.max_grid:
-            raise InvalidInputError(
-                f"grid modulus {describe_int(modulus)} exceeds the safety bound "
-                f"{describe_int(self.max_grid)} (set QCG_MAX_GRID to raise it)")
-
-    def check_cyclic(self, order: int, name: str | None = None) -> None:
-        if order > self.max_cyclic:
-            raise InvalidInputError(
-                f"group order {name or describe_int(order)} exceeds the safety bound "
-                f"{describe_int(self.max_cyclic)} (set QCG_MAX_GRID to raise it)")
-
-    def check_power_of_3(self, exponent: int) -> None:
-        # 3^e > max_cyclic once e reaches its bit length, so 3^e stays small
-        self.check_cyclic(3 ** min(exponent, self.max_cyclic.bit_length()), f"3^{exponent}")
 
 
 def _largest_int(node) -> int:
@@ -130,12 +86,12 @@ def _dumps(payload: dict) -> str:
         raise too_long_to_print(_largest_int(payload)) from exc
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines) -> None:
-    if cfg.output == "json":
-        print(_dumps({"schema": SCHEMA, **payload}))
-    else:
+def _emit(args, payload: dict, text_lines) -> None:
+    if args.text:
         for line in text_lines():
             print(line)
+    else:
+        print(_dumps({"schema": SCHEMA, **payload}))
 
 
 def _set_items(text: str) -> list[str]:
@@ -149,12 +105,23 @@ def _parse_rational_set(text: str) -> list[Fraction]:
     return [parse_rational(t) for t in _set_items(text)]
 
 
-def _parse_int_set(text: str) -> list[int]:
-    items = _set_items(text)
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of text, blank items skipped; `what` names text in errors."""
     try:
-        return [int(t) for t in items]
+        return tuple(int(t) for t in text.split(",") if t.strip() != "")
     except ValueError as exc:
-        raise InvalidInputError(f"bad integer set {quote_input(text)}") from exc
+        raise InvalidInputError(f"bad {what} {quote_input(text)}") from exc
+
+
+def _parse_int_set(text: str) -> tuple[int, ...]:
+    ints = _parse_ints(text, "integer set")
+    if not ints:
+        raise InvalidInputError("empty set")
+    return ints
+
+
+def _parse_seq(text: str) -> GapSequence:
+    return GapSequence(_parse_ints(text, "sequence text"))
 
 
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -179,21 +146,19 @@ def _grid_pair(token: str) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _grid_input(args, cfg: RunConfig) -> ResidueSet:
-    E = ResidueSet.from_pairs(map(_grid_pair, _set_items(args.set)), args.grid)
-    cfg.check_grid(E.modulus)
-    return E
+def _grid_input(args) -> ResidueSet:
+    return ResidueSet.from_pairs(map(_grid_pair, _set_items(args.set)), args.grid)
 
 
-def cmd_polar_t(args, cfg: RunConfig) -> int:
-    E = _grid_input(args, cfg)
+def cmd_polar_t(args) -> int:
+    E = _grid_input(args)
     P = polar(E)
-    _emit(cfg, {"op": "polar-t", "modulus": P.modulus, "residues": sorted(P.residues)},
+    _emit(args, {"op": "polar-t", "modulus": P.modulus, "residues": sorted(P.residues)},
           lambda: [f"polar mod {P.modulus}: {sorted(P.residues)}"])
     return 0
 
 
-def _emit_hull(cfg: RunConfig, E: ResidueSet, point, head: dict, label: str) -> None:
+def _emit_hull(args, E: ResidueSet, point, head: dict, label: str) -> None:
     """hull(E) as the input, hull, witnesses and quasi_convex keys after `head`.
 
     point(r, n) writes residue r mod n; the text output is "label: hull".
@@ -204,7 +169,7 @@ def _emit_hull(cfg: RunConfig, E: ResidueSet, point, head: dict, label: str) -> 
             "hull": sorted(point(r, n) for r in rep.hull),
             "witnesses": {str(point(r, n)): k for r, k in rep.witnesses.items()},
             "quasi_convex": rep.is_quasi_convex()}
-    _emit(cfg, {**head, **keys},
+    _emit(args, {**head, **keys},
           lambda: [f"{label}: {keys['hull']}", f"quasi-convex: {keys['quasi_convex']}"])
 
 
@@ -212,56 +177,55 @@ def _residue(r: int, n: int) -> int:
     return r
 
 
-def cmd_hull_t(args, cfg: RunConfig) -> int:
-    E = _grid_input(args, cfg)
-    _emit_hull(cfg, E, render_point, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
+def cmd_hull_t(args) -> int:
+    E = _grid_input(args)
+    _emit_hull(args, E, render_point, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
                "hull")
     return 0
 
 
-def cmd_hull_zn(args, cfg: RunConfig) -> int:
-    cfg.check_cyclic(args.n)
+def cmd_hull_zn(args) -> int:
     E = ResidueSet(args.n, _parse_int_set(args.set))
-    _emit_hull(cfg, E, _residue, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
+    _emit_hull(args, E, _residue, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
                f"hull in Z({args.n})")
     return 0
 
 
-def cmd_hull_j3(args, cfg: RunConfig) -> int:
+def cmd_hull_j3(args) -> int:
     if args.level < 1:
         raise InvalidInputError("level must be >= 1")
-    cfg.check_power_of_3(args.level)
+    check_power(3, args.level)
     n = 3 ** args.level
     E = ResidueSet(n, _parse_int_set(args.set))
-    _emit_hull(cfg, E, signed_residue, {"op": "hull-j3", "level": args.level, "order": n},
+    _emit_hull(args, E, signed_residue, {"op": "hull-j3", "level": args.level, "order": n},
                f"hull in Z(3^{args.level})")
     return 0
 
 
-def cmd_polar_r(args, cfg: RunConfig) -> int:
+def cmd_polar_r(args) -> int:
     S = RealFiniteSet(_parse_rational_set(args.set))
     P = polar_R(S)
-    _emit(cfg, {"op": "polar-r", **P.as_json()},
+    _emit(args, {"op": "polar-r", **P.as_json()},
           lambda: [f"period {render_rational(P.period)}: {P.one_period}"])
     return 0
 
 
-def cmd_hull_r(args, cfg: RunConfig) -> int:
+def cmd_hull_r(args) -> int:
     S = RealFiniteSet(_parse_rational_set(args.set))
     hull = hull_R(S)
     out = sorted(hull)
-    _emit(cfg, {"op": "hull-r", "hull": [render_rational(z) for z in out],
-                "quasi_convex": hull == S.points},
+    _emit(args, {"op": "hull-r", "hull": [render_rational(z) for z in out],
+                 "quasi_convex": hull == S.points},
           lambda: [f"hull: {[render_rational(z) for z in out]}"])
     return 0
 
 
-def cmd_member_r(args, cfg: RunConfig) -> int:
+def cmd_member_r(args) -> int:
     S = RealFiniteSet(_parse_rational_set(args.set))
     z = parse_rational(args.target)
     res = member_hull_R(S, z)
     target = render_rational(z)
-    _emit(cfg, {"op": "member-r", "target": target, **res.as_json()},
+    _emit(args, {"op": "member-r", "target": target, **res.as_json()},
           lambda: [f"{target}: " + ("In" if res.inside
                                     else f"Out (witness {render_rational(res.witness)})")])
     return 0
@@ -270,20 +234,20 @@ def cmd_member_r(args, cfg: RunConfig) -> int:
 _VERDICTS = {"T2": verdict_T2, "R2": verdict_R2, "T3": verdict_T3, "J3": verdict_J3}
 
 
-def cmd_family_verdict(args, cfg: RunConfig) -> int:
+def cmd_family_verdict(args) -> int:
     if args.family == "chain":
-        chain = DivisibleChain.from_text(args.seq)
-        _emit(cfg, {"op": "family-verdict", "family": "chain",
-                    "terms": list(chain.terms), "ratios": list(chain.ratios),
-                    "necessity_T": necessary_report_T(chain).as_json(),
-                    "necessity_R": necessary_report_R(chain).as_json()},
+        chain = DivisibleChain(_parse_ints(args.seq, "chain text"))
+        _emit(args, {"op": "family-verdict", "family": "chain",
+                     "terms": list(chain.terms), "ratios": list(chain.ratios),
+                     "necessity_T": necessary_report_T(chain).as_json(),
+                     "necessity_R": necessary_report_R(chain).as_json()},
               lambda: [f"T necessity: {necessary_report_T(chain).as_json()}",
                        f"R necessity: {necessary_report_R(chain).as_json()}"])
         return 0
-    a = GapSequence.from_text(args.seq)
+    a = _parse_seq(args.seq)
     verdict = _VERDICTS[args.family](a)
-    _emit(cfg, {"op": "family-verdict", "family": args.family,
-                "entries": list(a.entries), **verdict.as_json()},
+    _emit(args, {"op": "family-verdict", "family": args.family,
+                 "entries": list(a.entries), **verdict.as_json()},
           lambda: [f"{args.family} {a.entries}: {verdict.outcome}"
                    + (f" (violated {verdict.violated})" if verdict.violated else "")])
     return 0
@@ -294,23 +258,22 @@ def _reject_other_family_flag(args, flag: str, family: str) -> None:
         raise InvalidInputError(f"--{flag} belongs to --family {family}, not {args.family}")
 
 
-def cmd_jm(args, cfg: RunConfig) -> int:
-    a = GapSequence.from_text(args.seq)
+def cmd_jm(args) -> int:
+    a = _parse_seq(args.seq)
     out = compute_Jm(a, args.m, args.kmax, args.family)
-    _emit(cfg, {"op": "jm", "family": args.family, "m": args.m,
-                "k_max": args.kmax, "members": sorted(out)},
+    _emit(args, {"op": "jm", "family": args.family, "m": args.m,
+                 "k_max": args.kmax, "members": sorted(out)},
           lambda: [f"J_{args.m} up to {args.kmax}: {sorted(out)}"])
     return 0
 
 
-def cmd_q12(args, cfg: RunConfig) -> int:
+def cmd_q12(args) -> int:
     _reject_other_family_flag(args, "grid", "T3")
     _reject_other_family_flag(args, "level", "J3")
-    a = GapSequence.from_text(args.seq)
+    a = _parse_seq(args.seq)
     exponent = args.grid if args.family == "T3" else args.level
     if exponent is None:
         exponent = a.entries[-1] + 1 if args.family == "T3" else level_for(a)
-    cfg.check_power_of_3(exponent)
     q12 = q12_set(a, args.family, exponent)
     eps = epsilon_forms(a, args.family, exponent)
     point = render_point if args.family == "T3" else signed_residue
@@ -318,14 +281,14 @@ def cmd_q12(args, cfg: RunConfig) -> int:
     def ser(S: ResidueSet) -> list:
         return sorted(point(r, S.modulus) for r in S.residues)
 
-    _emit(cfg, {"op": "q12", "family": args.family, "exponent": exponent,
-                "q12": ser(q12), "epsilon_forms": ser(eps), "equal": q12 == eps},
+    _emit(args, {"op": "q12", "family": args.family, "exponent": exponent,
+                 "q12": ser(q12), "epsilon_forms": ser(eps), "equal": q12 == eps},
           lambda: [f"q12 == epsilon_forms: {q12 == eps} ({len(q12.residues)} elements)"])
     return 0
 
 
-def cmd_certify(args, cfg: RunConfig) -> int:
-    a = GapSequence.from_text(args.seq)
+def cmd_certify(args) -> int:
+    a = _parse_seq(args.seq)
     eps = _parse_int_set(args.epsilon)
     cert = (exclusion_T3(a, eps) if args.family == "T3" else exclusion_J3(a, eps))
     text = _dumps(cert.as_json())
@@ -341,7 +304,7 @@ def cmd_certify(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_cert(args, cfg: RunConfig) -> int:
+def cmd_verify_cert(args) -> int:
     try:
         with open(args.cert, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -356,21 +319,19 @@ def cmd_verify_cert(args, cfg: RunConfig) -> int:
         raise InvalidInputError("certificate JSON is nested too deeply") from exc
     cert = certificate_from_json(data)
     valid = verify_certificate(cert, args.truncation)
-    _emit(cfg, {"op": "verify-cert", "valid": valid},
+    _emit(args, {"op": "verify-cert", "valid": valid},
           lambda: ["certificate valid" if valid else "certificate INVALID"])
     return 0 if valid else 1
 
 
-def cmd_verify_paper(args, cfg: RunConfig) -> int:
-    if args.jobs < 1:
-        raise InvalidInputError("--jobs must be >= 1")
+def cmd_verify_paper(args) -> int:
     idents = args.criteria.split(",") if args.criteria else None
     results = acceptance.run_all(idents, jobs=args.jobs, stream=sys.stderr)
     all_passed = all(r.passed for r in results)
-    _emit(cfg, {"op": "verify-paper", "all_passed": all_passed,
-                "results": [{"id": r.ident, "description": r.description,
-                             "passed": r.passed, "detail": r.detail,
-                             "millis": int(r.seconds * 1000)} for r in results]},
+    _emit(args, {"op": "verify-paper", "all_passed": all_passed,
+                 "results": [{"id": r.ident, "description": r.description,
+                              "passed": r.passed, "detail": r.detail,
+                              "millis": int(r.seconds * 1000)} for r in results]},
           lambda: [r.line() for r in results]
           )
     return 0 if all_passed else 1
@@ -476,8 +437,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(args, cfg)
+        return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,14 +15,16 @@ and hull(E) return residues whichever of the two E came from; the
 polar lies in the character group Z(n).  How a point is written
 ("p/q", a residue, a signed residue) is the caller's choice.
 
-The hot loops run on int64 numpy vectors; moduli are capped well below
-the overflow bound so every product is exact, and larger moduli are
-rejected.  Every test of "k*j/n lies in T_+" goes through in_t_plus.
-Both kernels shrink a candidate array: polar_residues keeps the
-characters that pass every element so far, and hull_residues the points
-that pass every character so far.  Each step tests the survivors against
-the next w = max(1, _BLOCK // survivors) elements (or polar characters)
-in one outer product, so a step holds about _BLOCK = 2^16 cells: while
+The hot loops run on int64 numpy vectors.  MAX_MODULUS = 3^13 is the one
+size bound: every kernel call rejects a larger modulus, and check_power
+rejects p^e past it without building p^e.  A product of two residues is
+then below 2.6e12, far inside int64, so every product is exact.  Every
+test of "k*j/n lies in T_+" goes through in_t_plus.  Both kernels shrink
+a candidate array: polar_residues keeps the characters that pass every
+element so far, and hull_residues the points that pass every character
+so far.  Each step tests the survivors against the next
+w = max(1, _BLOCK // survivors) elements (or polar characters) in one
+outer product, so a step holds about _BLOCK = 2^16 cells: while
 the survivors are many it is one pass per element, and once they are few
 it takes thousands of elements at once.  The polar is walked in
 ascending order and each excluded point's witness is the first
@@ -52,8 +54,7 @@ import numpy as np
 from .circle import HALF, RationalIntervalUnion, intersect_pairs
 from .errors import InvalidInputError, describe_int
 
-# products k*j with k, j < n must fit in int64
-_NUMPY_SAFE_MODULUS = 3_000_000_000
+MAX_MODULUS = 3 ** 13           # the largest modulus any call accepts
 _TABLE_MAX_MODULUS = 4096       # char_table holds n*n/8 bytes: 2 MiB at the cap
 _BLOCK = 1 << 16                # cells per kernel step: survivors x next elements
 
@@ -95,9 +96,16 @@ def polar_sweep(cs: Iterable[int], lo: Fraction, hi: Fraction) -> RationalInterv
     return RationalIntervalUnion(tuple((Fraction(x, L), Fraction(y, L)) for x, y in pairs))
 
 
-def _checked_modulus(n: int, limit: int = _NUMPY_SAFE_MODULUS) -> None:
+def _checked_modulus(n: int, limit: int = MAX_MODULUS) -> None:
     if not 1 <= n <= limit:
         raise InvalidInputError(f"modulus {describe_int(n)} must lie in 1..{limit}")
+
+
+def check_power(p: int, e: int) -> None:
+    """Reject p^e (p >= 2) above MAX_MODULUS; p^e is never built past the bound."""
+    # p^e > MAX_MODULUS once e reaches the bound's bit length
+    if e > 0 and p ** min(e, MAX_MODULUS.bit_length()) > MAX_MODULUS:
+        raise InvalidInputError(f"modulus {p}^{e} must lie in 1..{MAX_MODULUS}")
 
 
 def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:

@@ -22,7 +22,7 @@ from typing import Literal, Optional
 
 from .circle import UnitRational
 from .duality import ResidueSet
-from .errors import InvalidInputError, quote_input
+from .errors import InvalidInputError
 
 QUASI_CONVEX = "QuasiConvex"
 NOT_QUASI_CONVEX = "NotQuasiConvex"
@@ -45,14 +45,6 @@ class GapSequence:
     @classmethod
     def of(cls, *entries: int) -> "GapSequence":
         return cls(tuple(entries))
-
-    @classmethod
-    def from_text(cls, text: str) -> "GapSequence":
-        try:
-            entries = tuple(int(t) for t in text.split(",") if t.strip() != "")
-        except ValueError as exc:
-            raise InvalidInputError(f"bad sequence text {quote_input(text)}") from exc
-        return cls(entries)     # outside the try: its own messages reach the user
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -83,14 +75,6 @@ class DivisibleChain:
         for u, v in zip(self.terms, self.terms[1:]):
             if v <= u or v % u:
                 raise InvalidInputError("chain must be increasing and divisible")
-
-    @classmethod
-    def from_text(cls, text: str) -> "DivisibleChain":
-        try:
-            entries = tuple(int(t) for t in text.split(",") if t.strip() != "")
-        except ValueError as exc:
-            raise InvalidInputError(f"bad chain text {quote_input(text)}") from exc
-        return cls(entries)     # outside the try: its own messages reach the user
 
     @property
     def ratios(self) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import ResidueSet, in_t_plus, polar_residues
+from .duality import ResidueSet, check_power, in_t_plus, polar_residues
 from .errors import InvalidInputError
 from .families import FamilyKind, GapSequence
 
@@ -73,6 +73,7 @@ def _in_Z3M(a: GapSequence, kind: FamilyKind, exponent: int) -> tuple[int, list[
     nonempty.
     """
     _check_kind(kind)
+    check_power(3, exponent)
     a.require_nonnegative()
     if a.entries[-1] >= exponent:
         raise InvalidInputError(

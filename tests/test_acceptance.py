@@ -9,6 +9,7 @@ they complete, or `qcg verify-paper` for the standalone report.
 import pytest
 
 from qcgroups.acceptance import CRITERIA
+from qcgroups.errors import InvalidInputError
 
 
 # what each criterion reports when it passes: the size of every sweep
@@ -78,6 +79,8 @@ class _RecordingExecutor:
     (2, ["criterion-03", "criterion-05", "criterion-08"], 16, [2]),
     (64, ["criterion-03"], 16, []),
     (64, ["criterion-03", "criterion-05"], None, []),
+    (0, ["criterion-03", "criterion-05"], 16, None),        # None: rejected, nothing run
+    (-3, ["criterion-03"], 16, None),
 ])
 def test_jobs_clamped(monkeypatch, jobs, wanted, cpus, workers):
     import concurrent.futures
@@ -89,7 +92,13 @@ def test_jobs_clamped(monkeypatch, jobs, wanted, cpus, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingExecutor, "seen", [])
-    results = run_all(wanted, jobs=jobs, stream=io.StringIO())
+    stream = io.StringIO()
+    if workers is None:
+        with pytest.raises(InvalidInputError, match="^--jobs must be >= 1$"):
+            run_all(wanted, jobs=jobs, stream=stream)
+        assert _RecordingExecutor.seen == [] and stream.getvalue() == ""
+        return
+    results = run_all(wanted, jobs=jobs, stream=stream)
     assert _RecordingExecutor.seen == workers
     assert [r.ident for r in results] == wanted and all(r.passed for r in results)
 

@@ -54,6 +54,19 @@ def test_only_circle_and_cli_refer_to_render_point():
     assert set(found) <= {"circle.py", "cli.py"}, found
 
 
+def test_library_reads_no_environment():
+    # every bound is in the code, so the same call gives the same answer everywhere
+    def reads(node):
+        return ((isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "os" and node.attr in ("environ", "environb", "getenv"))
+                or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(a.name in ("environ", "environb", "getenv") for a in node.names)))
+
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_tree(path)) if reads(node)]
+    assert found == []
+
+
 def test_library_has_no_assert():
     # checks must survive python -O, which strips assert statements
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))

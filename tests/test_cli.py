@@ -168,7 +168,9 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
                            "--epsilon", "1,1", "--out", str(out))
         assert code == 2 and "cannot write certificate" in err
     assert run(capsys, "verify-cert", "--cert", "/nonexistent.json")[0] == 2
-    assert run(capsys, "verify-paper", "--criteria", "criterion-03", "--jobs", "0")[0] == 2
+    for jobs in ("0", "-3"):
+        assert run(capsys, "verify-paper", "--criteria", "criterion-03", "--jobs", jobs) == (
+            2, "", "error: --jobs must be >= 1\n")
     for level in ("0", "-1"):
         code, out, err = run(capsys, "hull-j3", "--level", level, "--set", "1")
         assert code == 2 and out == "" and "level must be >= 1" in err
@@ -220,11 +222,21 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("error: ") and len(err.encode()) < 200, err[:200]
         assert err.endswith(" characters)\n"), err
-    # a sequence or chain that parses keeps its own validation message
+    # a sequence or chain that parses keeps its own validation message, and
+    # each comma list names itself when a token is not an integer
     for argv, message in ((["family-verdict", "--family", "T2", "--seq", "3,1"],
                            "entries must be strictly increasing"),
                           (["family-verdict", "--family", "chain", "--seq", "4,6"],
-                           "chain must be increasing and divisible")):
+                           "chain must be increasing and divisible"),
+                          (["family-verdict", "--family", "T2", "--seq", ","], "empty sequence"),
+                          (["family-verdict", "--family", "chain", "--seq", ""], "empty chain"),
+                          (["jm", "--family", "T3", "--seq", "1,x", "--m", "1", "--kmax", "3"],
+                           "bad sequence text '1,x'"),
+                          (["family-verdict", "--family", "chain", "--seq", "4,x"],
+                           "bad chain text '4,x'"),
+                          (["hull-zn", "--n", "9", "--set", "1,x"], "bad integer set '1,x'"),
+                          (["certify", "--family", "T3", "--seq", "1,3", "--epsilon", " , "],
+                           "empty set")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err == f"error: {message}\n"
     # a flag of the other family is rejected, not ignored
@@ -235,13 +247,13 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
 
 
 def test_hull_r_rejects_a_large_grid_before_the_sweep(capsys):
-    # the grid modulus 1000003 * 999983 is over the kernel cap; the polar sweep
+    # the grid modulus 1000003 * 999983 is over the size bound; the polar sweep
     # of the same set would take seconds before that was found
     t0 = time.perf_counter()
     code, out, err = run(capsys, "hull-r", "--set", "1/1000003,1/999983")
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
-    assert err == "error: modulus 999985999949 must lie in 1..3000000000\n"
+    assert err == "error: modulus 999985999949 must lie in 1..1594323\n"
 
 
 # every form a --set token can take: plain integers and fractions (read as
@@ -442,13 +454,40 @@ def test_real_line_help_names_the_equals_form(capsys, command, options):
     assert "--target=-2/7" in out
 
 
-def test_safety_bound_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QCG_MAX_GRID", "100")
-    assert run(capsys, "hull-t", "--set", "1/1024")[0] == 2
-    monkeypatch.setenv("QCG_MAX_GRID", "2048")
-    assert run(capsys, "hull-t", "--set", "1/1024")[0] == 0
-    monkeypatch.setenv("QCG_MAX_GRID", "junk")
-    assert run(capsys, "hull-t", "--set", "1/2")[0] == 2
+@pytest.mark.parametrize("argv, modulus", [
+    (["hull-t", "--set", "1/1594324"], "1594324"),
+    (["polar-t", "--set", "1/1594324"], "1594324"),
+    (["hull-zn", "--n", "1594324", "--set", "1"], "1594324"),
+    (["hull-j3", "--level", "14", "--set", "1"], "3^14"),
+    (["q12", "--family", "J3", "--seq", "0,2", "--level", "14"], "3^14"),
+    (["q12", "--family", "T3", "--seq", "1,3", "--grid", "14"], "3^14"),
+    (["hull-r", "--set", "1/2003,1/2011"], "4028033"),      # the grid of its hull
+    (["hull-j3", "--level", "3000000", "--set", "1"], "3^3000000"),
+    (["q12", "--family", "J3", "--seq", "0,2", "--level", "3000000"], "3^3000000"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_one_size_bound_on_every_modulus(capsys, argv, modulus):
+    # one bound, 3^13, in the kernel: every command meets it before any work
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: modulus {modulus} must lie in 1..1594323\n"
+
+
+def test_the_size_bound_itself_is_accepted():
+    from qcgroups.duality import MAX_MODULUS, check_power, hull_residues, polar_residues
+
+    assert MAX_MODULUS == 3 ** 13 == 1594323
+    check_power(3, 13)
+    for e in (14, 3000000):
+        with pytest.raises(InvalidInputError, match=r"modulus 3\^\d+ must lie in 1\.\.1594323"):
+            check_power(3, e)
+    # k * 3^12 / 3^13 = k/3 is in T_+ exactly when 3 divides k
+    assert polar_residues(3 ** 13, [3 ** 12]) == frozenset(range(0, 3 ** 13, 3))
+    with pytest.raises(InvalidInputError, match=r"modulus 1594324 must lie in 1\.\.1594323"):
+        polar_residues(3 ** 13 + 1, [1])
+    with pytest.raises(InvalidInputError, match=r"modulus 1594324 must lie in 1\.\.1594323"):
+        hull_residues(3 ** 13 + 1, [1])
 
 
 def test_no_floats_anywhere_in_json_output(capsys):

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from qcgroups.circle import UnitRational
+from qcgroups.cli import main
 from qcgroups.duality import hull
 from qcgroups.errors import InvalidInputError
 from qcgroups.families import (DivisibleChain, GapSequence, NOT_QUASI_CONVEX,
@@ -20,9 +22,15 @@ F = Fraction
 # ------------------------------------------------------------------- types
 
 
-def test_gap_sequence_validation():
+def _cli_json(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_gap_sequence_validation(capsys):
     assert GS(1, 3, 5).gaps == (2, 2)
-    assert GapSequence.from_text("1, 3,5").entries == (1, 3, 5)
+    out = _cli_json(capsys, "family-verdict", "--family", "T2", "--seq", "1, 3,5")
+    assert out["entries"] == [1, 3, 5]
     assert GS(-3, 0, 2).gaps == (3, 2)
     with pytest.raises(InvalidInputError):
         GS(1, 1)
@@ -32,8 +40,9 @@ def test_gap_sequence_validation():
         GS(-1, 2).require_nonnegative()
 
 
-def test_divisible_chain_validation():
-    assert DivisibleChain.from_text("4,8,64").ratios == (2, 8)
+def test_divisible_chain_validation(capsys):
+    out = _cli_json(capsys, "family-verdict", "--family", "chain", "--seq", "4,8,64")
+    assert out["ratios"] == [2, 8]
     with pytest.raises(InvalidInputError):
         DivisibleChain((1, 2))
     with pytest.raises(InvalidInputError):

@@ -94,8 +94,13 @@ def _emit(args, payload: dict, text_lines) -> None:
         print(_dumps({"schema": SCHEMA, **payload}))
 
 
+def _items(text: str) -> list[str]:
+    """The items of a comma-separated list; blank items are skipped."""
+    return [t for t in text.split(",") if t.strip() != ""]
+
+
 def _set_items(text: str) -> list[str]:
-    items = [t for t in text.split(",") if t.strip() != ""]
+    items = _items(text)
     if not items:
         raise InvalidInputError("empty set")
     return items
@@ -106,9 +111,9 @@ def _parse_rational_set(text: str) -> list[Fraction]:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of text, blank items skipped; `what` names text in errors."""
+    """The integers of a comma-separated list; `what` names the list in the error."""
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
+        return tuple(map(int, _items(text)))
     except ValueError as exc:
         raise InvalidInputError(f"bad {what} {quote_input(text)}") from exc
 

@@ -141,7 +141,7 @@ def q12_set(a: GapSequence, kind: FamilyKind, exponent: int) -> ResidueSet:
 
 
 def L3_truncate(a: GapSequence, level: int) -> ResidueSet:
-    """{0} union {+-3^(a_n)} inside Z(3^level); needs a_n <= level - 2.
+    """{0} union {+-3^(a_n)} inside Z(3^level); needs a_n <= level - 2 and level <= 13.
 
     The headroom of one extra digit lets the witness characters
     zeta_{a_l + 1} factor through the truncation.
@@ -150,6 +150,7 @@ def L3_truncate(a: GapSequence, level: int) -> ResidueSet:
     if a.entries[-1] > level - 2:
         raise InvalidInputError(
             f"level {level} too small; smallest admissible level is {a.entries[-1] + 2}")
+    check_power(3, level)
     n = 3 ** level
     elems = {0}
     for an in a.entries:

@@ -199,4 +199,9 @@ def test_L3_truncate():
     assert {81, 3 ** 7 - 81} <= big.residues
     with pytest.raises(InvalidInputError, match="smallest admissible level is 7"):
         L3_truncate(GS(0, 5), 4)
+    # the one size bound, met before 3^level is built
+    assert L3_truncate(GS(0, 2), 13).modulus == 3 ** 13
+    for level in (14, 3_000_000):
+        with pytest.raises(InvalidInputError, match=f"modulus 3\\^{level} must lie in 1..1594323"):
+            L3_truncate(GS(0, 2), level)
     assert level_for(GS(0, 2, 4)) == 6

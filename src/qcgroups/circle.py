@@ -5,7 +5,8 @@ window (-1/2, 1/2] (signed_residue writes any residue in that window):
 equality and the distance to zero are read off the canonical
 numerator/denominator pair.  All arithmetic is integer arithmetic on
 arbitrary-precision ints; there is no floating point anywhere in this
-module.
+module.  The array writers (residues, signed_residues, render_points) run
+on int64 and serve residues of a kernel modulus, at most 3^13.
 
 The small target sets T_m are the closed arcs of radius 1/(4m) around 0
 (T_+ is T_1).  They are closed: boundary points such as 1/4 belong to
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError, quote_input, too_long_to_print
 
@@ -91,6 +94,28 @@ def _write_fraction(num: int, den: int) -> str:
 def render_point(num: int, den: int) -> str:
     """The point num/den of T (den > 0) written as str(UnitRational(num, den)) does."""
     return _write_fraction(*_reduce_point(num, den))
+
+
+def residues(r, n: int) -> list[int]:
+    """[x % n for x in r], for an int64 array or a list of ints r."""
+    return (np.asarray(r, dtype=np.int64) % n).tolist()
+
+
+def _signed(r, n: int) -> np.ndarray:
+    r = np.asarray(r, dtype=np.int64) % n
+    return np.where(2 * r <= n, r, r - n)
+
+
+def signed_residues(r, n: int) -> list[int]:
+    """[signed_residue(x, n) for x in r], computed on an int64 array."""
+    return _signed(r, n).tolist()
+
+
+def render_points(r, n: int) -> list[str]:
+    """[render_point(x, n) for x in r]: the lowest terms come from one np.gcd."""
+    s = _signed(r, n)
+    g = np.gcd(s, n)
+    return [f"{a}/{b}" if b != 1 else str(a) for a, b in zip((s // g).tolist(), (n // g).tolist())]
 
 
 def render_rational(q: Fraction | int) -> str:

@@ -7,11 +7,15 @@ invocation.  Exit status: 0 success, 1 a verified mathematical property
 failed, 2 invalid input.
 
 The JSON is exactly json.dumps(payload, sort_keys=True, indent=2), written
-by _write: str -> int dicts and all-int or all-str lists in one join each,
-other scalars through the compact (C) encoder.  Grid sets are read as
-integer (num, den) pairs; only tokens that are not plain "p" or "p/q"
-go through Fraction.  One argparse tree, built by the first main call,
-serves every later call in the process.
+by _write: all-int or all-str lists in one join each, other scalars
+through the compact (C) encoder.  _emit_hull, the one writer of hull-t,
+hull-zn and hull-j3, renders points in bulk from the kernel's int64
+arrays (circle.render_points, residues, signed_residues) and hands the
+witnesses to _write as _Members: one '"point": k' string per excluded
+point, sorted as strings, which is sort_keys order.  No witness dict is
+built.  Grid sets are read as integer (num, den) pairs; only tokens that
+are not plain "p" or "p/q" go through Fraction.  One argparse tree,
+built by the first main call, serves every later call in the process.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import acceptance
-from .circle import parse_rational, render_point, render_rational, signed_residue
+from .circle import (parse_rational, render_points, render_rational, residues,
+                     signed_residues)
 from .duality import ResidueSet, check_power, hull, polar
 from .errors import InvalidInputError, quote_input, too_long_to_print
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
@@ -48,22 +53,27 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode          # compact, so CPython's C encoder
 
 
+class _Members(list):
+    """The '"key": value' members of a JSON object, rendered and in sort_keys order."""
+
+
 def _write(node, indent: str) -> str:
     """node as json.dumps(node, sort_keys=True, indent=2) writes it at this indent.
 
-    str -> int dicts and all-int or all-str lists are written in one join;
+    _Members are joined as they are, all-int and all-str lists in one join;
     a dict with a non-str key is left to json.dumps itself.
     """
     inner = indent + "  "
+    if isinstance(node, _Members):
+        if not node:
+            return "{}"
+        return "{\n" + inner + (",\n" + inner).join(node) + "\n" + indent + "}"
     if isinstance(node, dict):
         if not node:
             return "{}"
         if not all(isinstance(k, str) for k in node):
             return json.dumps(node, sort_keys=True, indent=2).replace("\n", "\n" + indent)
-        if all(type(v) is int for v in node.values()):
-            parts = [f"{_encode_str(k)}: {v}" for k, v in sorted(node.items())]
-        else:
-            parts = [f"{_encode_str(k)}: {_write(v, inner)}" for k, v in sorted(node.items())]
+        parts = [f"{_encode_str(k)}: {_write(v, inner)}" for k, v in sorted(node.items())]
         return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
     if isinstance(node, (list, tuple)):
         if not node:
@@ -163,35 +173,39 @@ def cmd_polar_t(args) -> int:
     return 0
 
 
-def _emit_hull(args, E: ResidueSet, point, head: dict, label: str) -> None:
+def _emit_hull(args, E: ResidueSet, points, head: dict, label: str) -> None:
     """hull(E) as the input, hull, witnesses and quasi_convex keys after `head`.
 
-    point(r, n) writes residue r mod n; the text output is "label: hull".
+    points(r, n) writes the residues r mod n (an int64 array or a list),
+    in order.  The witnesses are written in bulk, as sorted '"point": k'
+    members: a point is written with "-", "/" and digits, which all sort
+    after '"', so the members sort as their keys do.  The text output,
+    "label: hull", writes no witnesses.
     """
     rep = hull(E)
     n = E.modulus
-    keys = {"input": sorted(point(r, n) for r in E.residues),
-            "hull": sorted(point(r, n) for r in rep.hull),
-            "witnesses": {str(point(r, n)): k for r, k in rep.witnesses.items()},
+    keys = {"input": sorted(points(list(E.residues), n)),
+            "hull": sorted(points(list(rep.hull), n)),
             "quasi_convex": rep.is_quasi_convex()}
+    if not args.text:
+        W = rep.witnesses
+        keys["witnesses"] = members = _Members(
+            f'"{p}": {k}' for p, k in zip(points(W[:, 0], n), W[:, 1].tolist()))
+        members.sort()
     _emit(args, {**head, **keys},
           lambda: [f"{label}: {keys['hull']}", f"quasi-convex: {keys['quasi_convex']}"])
 
 
-def _residue(r: int, n: int) -> int:
-    return r
-
-
 def cmd_hull_t(args) -> int:
     E = _grid_input(args)
-    _emit_hull(args, E, render_point, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
+    _emit_hull(args, E, render_points, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
                "hull")
     return 0
 
 
 def cmd_hull_zn(args) -> int:
     E = ResidueSet(args.n, _parse_int_set(args.set))
-    _emit_hull(args, E, _residue, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
+    _emit_hull(args, E, residues, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
                f"hull in Z({args.n})")
     return 0
 
@@ -202,7 +216,7 @@ def cmd_hull_j3(args) -> int:
     check_power(3, args.level)
     n = 3 ** args.level
     E = ResidueSet(n, _parse_int_set(args.set))
-    _emit_hull(args, E, signed_residue, {"op": "hull-j3", "level": args.level, "order": n},
+    _emit_hull(args, E, signed_residues, {"op": "hull-j3", "level": args.level, "order": n},
                f"hull in Z(3^{args.level})")
     return 0
 
@@ -281,10 +295,10 @@ def cmd_q12(args) -> int:
         exponent = a.entries[-1] + 1 if args.family == "T3" else level_for(a)
     q12 = q12_set(a, args.family, exponent)
     eps = epsilon_forms(a, args.family, exponent)
-    point = render_point if args.family == "T3" else signed_residue
+    points = render_points if args.family == "T3" else signed_residues
 
     def ser(S: ResidueSet) -> list:
-        return sorted(point(r, S.modulus) for r in S.residues)
+        return sorted(points(list(S.residues), S.modulus))
 
     _emit(args, {"op": "q12", "family": args.family, "exponent": exponent,
                  "q12": ser(q12), "epsilon_forms": ser(eps), "equal": q12 == eps},

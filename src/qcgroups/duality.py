@@ -29,7 +29,10 @@ the survivors are many it is one pass per element, and once they are few
 it takes thousands of elements at once.  The polar is walked in
 ascending order and each excluded point's witness is the first
 excluding character of its block, so every witness is the smallest
-character that excludes its point.  Single CLI calls use these kernels;
+character that excludes its point.  The witnesses come back as one int64
+array, a row (point, character) per excluded point in ascending point
+order, which HullReport.witnesses holds and the CLI writes in bulk; no
+per-point dict is built.  Single CLI calls use these kernels;
 sweeps that repeat one modulus read the cached char_table(n), n <= 4096,
 whose row k packs the points p with k*p/n in T_+: a polar is an AND of
 rows and table_hull a second AND.  For n <= 64
@@ -124,27 +127,30 @@ def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:
     return frozenset(k.tolist())
 
 
-def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], dict[int, int]]:
+def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], np.ndarray]:
     """Quasi-convex hull inside Z(n)/grid, with a witness for every excluded point.
 
-    Witness selection is deterministic: the smallest character residue in
-    the polar that moves the point outside T_+.
+    The witnesses are one int64 array W of shape (m, 2): a row (point,
+    character) per excluded point, in ascending point order, so len(W) is
+    the excluded count.  Witness selection is deterministic: the smallest
+    character residue in the polar that moves the point outside T_+.
     """
     # -k gives the same row as k, and k <= n/2 comes first, so the witnesses
     # stay the smallest excluding characters
     polar = np.array([k for k in sorted(polar_residues(n, elems)) if 2 * k <= n], dtype=np.int64)
     alive = np.arange(n, dtype=np.int64)
-    witness: dict[int, int] = {}
+    witness = np.zeros(n, dtype=np.int64)   # character 0 excludes nothing: 0 is "inside"
     i = 0
     while i < len(polar):           # alive holds 0, so it never empties
         ks = polar[i:i + max(1, _BLOCK // len(alive))]
         bad = ~in_t_plus(np.outer(alive, ks) % n, n)
         out = bad.any(axis=1)
         if out.any():               # argmax: the first, so smallest, excluding character
-            witness.update(zip(alive[out].tolist(), ks[bad[out].argmax(axis=1)].tolist()))
+            witness[alive[out]] = ks[bad[out].argmax(axis=1)]
             alive = alive[~out]
         i += len(ks)
-    return frozenset(alive.tolist()), witness
+    excluded = np.flatnonzero(witness)
+    return frozenset(alive.tolist()), np.column_stack((excluded, witness[excluded]))
 
 
 @lru_cache(maxsize=16)       # criterion-09 cycles through its grids, the quotient check n and n/d
@@ -232,6 +238,14 @@ class ResidueSet:
                            frozenset(r % self.modulus for r in self.residues))
 
     @classmethod
+    def _reduced(cls, modulus: int, residues: frozenset[int]) -> "ResidueSet":
+        """A kernel result, already reduced mod modulus, held as it is: no second pass."""
+        E = object.__new__(cls)
+        object.__setattr__(E, "modulus", modulus)
+        object.__setattr__(E, "residues", residues)
+        return E
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]],
                    modulus: int | None = None) -> "ResidueSet":
         """Grid set of the rationals num/den, given as lowest-terms pairs with den > 0.
@@ -256,13 +270,13 @@ class ResidueSet:
                               modulus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)      # witnesses is an array: no elementwise ==
 class HullReport:
     """hull(E) as residues, with one verified excluding character per outside point."""
 
     input_set: ResidueSet
     hull: frozenset[int]
-    witnesses: dict[int, int]
+    witnesses: np.ndarray       # rows (point, smallest excluding character), by point
 
     def is_quasi_convex(self) -> bool:
         return self.input_set.residues == self.hull
@@ -270,7 +284,7 @@ class HullReport:
 
 def polar(E: ResidueSet) -> ResidueSet:
     """The polar of E; characters of Z(n) and of the grid (1/n)Z/Z both live in Z(n)."""
-    return ResidueSet(E.modulus, polar_residues(E.modulus, E.residues))
+    return ResidueSet._reduced(E.modulus, polar_residues(E.modulus, E.residues))
 
 
 def hull(E: ResidueSet) -> HullReport:

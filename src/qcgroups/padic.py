@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import ResidueSet, check_power, in_t_plus, polar_residues
+from .duality import ResidueSet, check_power, in_t_plus, polar
 from .errors import InvalidInputError
 from .families import FamilyKind, GapSequence
 
@@ -137,7 +137,7 @@ def q12_set(a: GapSequence, kind: FamilyKind, exponent: int) -> ResidueSet:
     epsilon_forms for direct comparison.
     """
     n, _, chars = _in_Z3M(a, kind, exponent)
-    return ResidueSet(n, polar_residues(n, chars))
+    return polar(ResidueSet(n, chars))
 
 
 def L3_truncate(a: GapSequence, level: int) -> ResidueSet:

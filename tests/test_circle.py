@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcgroups.circle import RationalIntervalUnion, UnitRational, render_point, tm_interval
+from qcgroups.circle import (RationalIntervalUnion, UnitRational, render_point, render_points,
+                             residues, signed_residue, signed_residues, tm_interval)
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -169,3 +171,27 @@ def test_render_point():
     assert [render_point(r, 8) for r in (0, 4, 12, -6)] == ["0", "1/2", "1/2", "1/4"]
     with pytest.raises(InvalidInputError, match="too long to print"):
         render_point(1, 10 ** 5000)
+
+
+def test_array_writers_match_the_point_writers_at_every_small_modulus():
+    for n in range(1, 2001):
+        r = np.arange(n, dtype=np.int64)
+        assert render_points(r, n) == [render_point(x, n) for x in range(n)], n
+        assert signed_residues(r, n) == [signed_residue(x, n) for x in range(n)], n
+        assert residues(r, n) == list(range(n)), n
+    for n in range(1, 60):                  # unreduced input, as a list
+        xs = list(range(-2 * n, 2 * n))
+        assert render_points(xs, n) == [render_point(x, n) for x in xs]
+        assert signed_residues(xs, n) == [signed_residue(x, n) for x in xs]
+        assert residues(xs, n) == [x % n for x in xs]
+
+
+@given(st.integers(1, 3 ** 13), st.data())
+@settings(max_examples=200, deadline=None)
+def test_array_writers_match_the_point_writers_at_large_moduli(n, data):
+    xs = data.draw(st.lists(st.integers(-n, 2 * n), max_size=50))
+    divisors = [d for d in (2, 3, 4, 8, 9, 27, 64, 81) if n % d == 0]
+    xs += [n // d * k for d in divisors for k in range(-2, 3)]    # small denominators
+    assert render_points(xs, n) == [render_point(x, n) for x in xs]
+    assert signed_residues(xs, n) == [signed_residue(x, n) for x in xs]
+    assert residues(np.array(xs, dtype=np.int64), n) == [x % n for x in xs]

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgroups import cli
-from qcgroups.circle import parse_rational
+from qcgroups.circle import parse_rational, render_point, signed_residue
 from qcgroups.cli import main
-from qcgroups.duality import ResidueSet
+from qcgroups.duality import ResidueSet, hull_residues
 from qcgroups.errors import InvalidInputError
+from qcgroups.witnesses import SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -297,9 +300,9 @@ def test_plain_grid_tokens_match_fraction(num, den, prefix, whole):
     assert _grid_pair_or_message(token) == _fraction_pair_or_message(token)
 
 
-# the writer against json.dumps: its fast paths (str -> int dicts, all-int and
-# all-str lists) and the general one, on trees with bools, None, escapes,
-# non-ASCII text, non-str keys and ints past the int-to-str digit limit
+# the writer against json.dumps: its fast paths (all-int and all-str lists)
+# and the general one, on trees with bools, None, escapes, non-ASCII text,
+# str -> int dicts, non-str keys and ints past the int-to-str digit limit
 _HUGE = st.builds(lambda d, sign: sign * 10 ** d, st.integers(4300, 4400), st.sampled_from([1, -1]))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6),
                      st.floats(), _HUGE)
@@ -327,6 +330,67 @@ def test_writer_matches_json_dumps(tree):
             cli._dumps(tree)
     else:
         assert cli._dumps(tree) == want
+
+
+def _hull_payload_with_a_witness_dict(argv):
+    """The hull commands' payload as it was written before the bulk writer:
+    one render_point / signed_residue / residue call per point, and a dict."""
+    command, opts = argv[0], dict(a.lstrip("-").split("=", 1) for a in argv[1:])
+    ints = [int(t.split("/")[0]) for t in opts["set"].split(",")]     # r or r/n
+    if command == "hull-t":
+        n = int(opts["grid"])
+        E, point = ResidueSet(n, ints), render_point
+        head = {"op": "hull-t", "kind": "grid", "modulus": n}
+    elif command == "hull-zn":
+        n = int(opts["n"])
+        E, point = ResidueSet(n, ints), lambda r, n: r
+        head = {"op": "hull-zn", "kind": "cyclic", "order": n}
+    else:
+        n = 3 ** int(opts["level"])
+        E, point = ResidueSet(n, ints), signed_residue
+        head = {"op": "hull-j3", "level": int(opts["level"]), "order": n}
+    hull_set, W = hull_residues(n, E.residues)
+    return {"schema": SCHEMA, **head,
+            "input": sorted(point(r, n) for r in E.residues),
+            "hull": sorted(point(r, n) for r in hull_set),
+            "witnesses": {str(point(r, n)): k for r, k in W.tolist()},
+            "quasi_convex": hull_set == E.residues}
+
+
+@st.composite
+def _hull_argv(draw):
+    command = draw(st.sampled_from(["hull-t", "hull-zn", "hull-j3"]))
+    if command == "hull-j3":
+        level = draw(st.integers(1, 7))
+        n, size = 3 ** level, ["--level=" + str(level)]
+    else:
+        n = draw(st.integers(1, 3 ** 7))
+        size = ["--grid=" + str(n)] if command == "hull-t" else ["--n=" + str(n)]
+    ints = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=1, max_size=6))
+    if command == "hull-t":
+        tokens = [f"{r}/{n}" for r in ints]         # r/n, reduced by the parser
+    else:
+        tokens = [str(r) for r in ints]
+    return [command, *size, "--set=" + ",".join(tokens)]
+
+
+@given(_hull_argv())
+@settings(max_examples=150, deadline=None)
+def test_bulk_hull_writer_matches_the_witness_dict(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    want = json.dumps(_hull_payload_with_a_witness_dict(argv), sort_keys=True, indent=2)
+    assert out.getvalue() == want + "\n"
+
+
+def test_bulk_hull_writer_on_an_empty_witness_set(capsys):
+    # Z(1) excludes nothing, so the witnesses are an empty object
+    for argv in (["hull-zn", "--n=1", "--set=0"], ["hull-t", "--grid=1", "--set=0/1"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["witnesses"] == {}
+        assert out == json.dumps(_hull_payload_with_a_witness_dict(argv),
+                                 sort_keys=True, indent=2) + "\n"
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
@@ -433,6 +497,14 @@ GOLDEN = [
     # 6 s on Fraction arithmetic, under 1 s on the sweep's integer pairs
     (["hull-r", "--set", "1/3,1/65537"],
      "ecf870e70f82394d38e876fd2f910a586546fd03b3ecaa89d2ad2bce7c1f80a0"),
+    # thousands of witnesses each, written in bulk: keys of 1 to 10 characters,
+    # both signs, and 34 denominators on the grid
+    (["hull-t", "--grid", "5184", "--set", "0,1/9,-1/9,1/64,-1/64"],
+     "c517db70ee56db26a5e34a24dac8bfc48af2e95e4a62786e5dff0af0c1bf9a18"),
+    (["hull-zn", "--n", "4100", "--set=1,5,-41,1000"],
+     "07cbffa0a1f7334f4dcf5e342013ca45b76a5f74eb96728c21d1ad3d9ca90ddd"),
+    (["hull-j3", "--level", "8", "--set=0,1,-1,3,-3,243,-243"],
+     "79093f0212b929320375868535f5d1108a8ad314cca1d88e5fc5f5d99affc152"),
 ]
 
 

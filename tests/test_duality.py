@@ -74,7 +74,7 @@ def test_hull_examples_in_zn():
     assert 5 in hull(zn(64, 1, 4, 8)).hull
     rep = hull(zn(12, 1, 3))
     assert 2 not in rep.hull
-    assert rep.witnesses[2] == 3            # smallest excluding character
+    assert dict(rep.witnesses.tolist())[2] == 3     # smallest excluding character
 
 
 def test_trivial_quasi_convex_sets():
@@ -88,8 +88,9 @@ def test_witnesses_reverify():
         rep = hull(E)
         n = E.modulus
         polar_set = polar_residues(n, E.residues)
-        assert set(rep.witnesses) == set(range(n)) - rep.hull
-        for p, k in rep.witnesses.items():
+        witnesses = dict(rep.witnesses.tolist())
+        assert set(witnesses) == set(range(n)) - rep.hull
+        for p, k in witnesses.items():
             assert k in polar_set
             x = UnitRational(k * p, n)
             assert 4 * abs(x.num) > x.den
@@ -125,10 +126,12 @@ def test_kernel_matches_dense_oracle(n, elems):
     polar_set = {k for k in range(n) if all(inside(k * e) for e in elems)}
     hull_set = {p for p in range(n) if all(inside(k * p) for k in polar_set)}
     assert polar_residues(n, elems) == polar_set
-    got, witnesses = hull_residues(n, elems)
+    got, W = hull_residues(n, elems)
     assert got == hull_set
-    assert witnesses == {p: min(k for k in polar_set if not inside(k * p))
-                         for p in range(n) if p not in hull_set}
+    assert dict(W.tolist()) == {p: min(k for k in polar_set if not inside(k * p))
+                                for p in range(n) if p not in hull_set}
+    assert W.dtype == np.int64 and W.shape == (n - len(hull_set), 2)
+    assert (np.diff(W[:, 0]) > 0).all()             # one row per point, ascending
     assert set(np.flatnonzero(table_hull(n, elems)).tolist()) == hull_set
 
 
@@ -154,10 +157,10 @@ def _per_element_hull(n, elems):
 
 def _assert_block_kernels_match(n, elems):
     assert polar_residues(n, elems) == _per_element_polar(n, elems), (n, len(elems))
-    got, witnesses = hull_residues(n, elems)
+    got, W = hull_residues(n, elems)
     want, want_witnesses = _per_element_hull(n, elems)
     assert got == want, (n, len(elems))
-    assert witnesses == want_witnesses, (n, len(elems))
+    assert dict(W.tolist()) == want_witnesses, (n, len(elems))
 
 
 @pytest.mark.parametrize("n", [729, 1000, 2048, 2187, 4095, 4096])

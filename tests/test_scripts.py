@@ -1,6 +1,7 @@
 """Run each script's docstring example and pin its stdout."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -28,3 +29,36 @@ def test_script_stdout(argv, digest):
                           capture_output=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def test_bench_pairs_dry_run_prints_the_interleaved_schedule():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           "--parent", "p0", "--change", "c1", "--pairs", "3",
+                           "--workloads", "grid-sparse,paper", "--dry-run"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(f"{line}\n" for line in [
+        "grid-sparse pair 1 parent p0", "grid-sparse pair 1 change c1",
+        "grid-sparse pair 2 change c1", "grid-sparse pair 2 parent p0",
+        "grid-sparse pair 3 parent p0", "grid-sparse pair 3 change c1",
+        "paper pair 1 parent p0", "paper pair 1 change c1",
+        "paper pair 2 change c1", "paper pair 2 parent p0",
+        "paper pair 3 parent p0", "paper pair 3 change c1",
+        "12 runs of 8 s, seed 1"])
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base = dict.fromkeys(bench_pairs.METRICS, 1.0)
+    runs = [{"workload": "w", "pair": p, "side": side, "attempted": 5, "failed": 0,
+             **base, "req_per_s": rps, "wall_s": wall}
+            for p, side, rps, wall in [(1, "parent", 10, 2), (1, "change", 20, 1),
+                                       (2, "change", 15, 3), (2, "parent", 15, 2)]]
+    s = bench_pairs.summarize(runs)["w"]
+    assert s["pairs"] == 2 and s["parent"]["attempted"] == 10
+    assert s["wins"]["req_per_s"] == 1          # higher is better; a tie is no win
+    assert s["wins"]["wall_s"] == 1             # lower is better
+    assert s["wins"]["setup_s"] == 0
+    assert s["change"]["req_per_s"] == {"median": 17.5, "q1": 16.25, "q3": 18.75}

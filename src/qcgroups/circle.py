@@ -5,8 +5,8 @@ window (-1/2, 1/2] (signed_residue writes any residue in that window):
 equality and the distance to zero are read off the canonical
 numerator/denominator pair.  All arithmetic is integer arithmetic on
 arbitrary-precision ints; there is no floating point anywhere in this
-module.  The array writers (residues, signed_residues, render_points) run
-on int64 and serve residues of a kernel modulus, at most 3^13.
+module.  The array writers (signed_residues, render_points) run on int64
+and serve residues of a kernel modulus, at most 3^13.
 
 The small target sets T_m are the closed arcs of radius 1/(4m) around 0
 (T_+ is T_1).  They are closed: boundary points such as 1/4 belong to
@@ -94,11 +94,6 @@ def _write_fraction(num: int, den: int) -> str:
 def render_point(num: int, den: int) -> str:
     """The point num/den of T (den > 0) written as str(UnitRational(num, den)) does."""
     return _write_fraction(*_reduce_point(num, den))
-
-
-def residues(r, n: int) -> list[int]:
-    """[x % n for x in r], for an int64 array or a list of ints r."""
-    return (np.asarray(r, dtype=np.int64) % n).tolist()
 
 
 def _signed(r, n: int) -> np.ndarray:

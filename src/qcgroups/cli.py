@@ -10,7 +10,7 @@ The JSON is exactly json.dumps(payload, sort_keys=True, indent=2), written
 by _write: all-int or all-str lists in one join each, other scalars
 through the compact (C) encoder.  _emit_hull, the one writer of hull-t,
 hull-zn and hull-j3, renders points in bulk from the kernel's int64
-arrays (circle.render_points, residues, signed_residues) and hands the
+arrays (circle.render_points, signed_residues, _residues) and hands the
 witnesses to _write as _Members: one '"point": k' string per excluded
 point, sorted as strings, which is sort_keys order.  No witness dict is
 built.  Grid sets are read as integer (num, den) pairs; only tokens that
@@ -28,8 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import acceptance
-from .circle import (parse_rational, render_points, render_rational, residues,
-                     signed_residues)
+from .circle import parse_rational, render_points, render_rational, signed_residues
 from .duality import ResidueSet, check_power, hull, polar
 from .errors import InvalidInputError, quote_input, too_long_to_print
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
@@ -196,6 +195,11 @@ def _emit_hull(args, E: ResidueSet, points, head: dict, label: str) -> None:
           lambda: [f"{label}: {keys['hull']}", f"quasi-convex: {keys['quasi_convex']}"])
 
 
+def _residues(r, n: int) -> list[int]:
+    """Residues mod n, already reduced, as they are: a list, or an int64 array's tolist."""
+    return r if isinstance(r, list) else r.tolist()
+
+
 def cmd_hull_t(args) -> int:
     E = _grid_input(args)
     _emit_hull(args, E, render_points, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
@@ -205,7 +209,7 @@ def cmd_hull_t(args) -> int:
 
 def cmd_hull_zn(args) -> int:
     E = ResidueSet(args.n, _parse_int_set(args.set))
-    _emit_hull(args, E, residues, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
+    _emit_hull(args, E, _residues, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
                f"hull in Z({args.n})")
     return 0
 

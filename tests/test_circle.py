@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcgroups.circle import (RationalIntervalUnion, UnitRational, render_point, render_points,
-                             residues, signed_residue, signed_residues, tm_interval)
+                             signed_residue, signed_residues, tm_interval)
 from qcgroups.errors import InvalidInputError
 
 F = Fraction
@@ -178,12 +178,10 @@ def test_array_writers_match_the_point_writers_at_every_small_modulus():
         r = np.arange(n, dtype=np.int64)
         assert render_points(r, n) == [render_point(x, n) for x in range(n)], n
         assert signed_residues(r, n) == [signed_residue(x, n) for x in range(n)], n
-        assert residues(r, n) == list(range(n)), n
     for n in range(1, 60):                  # unreduced input, as a list
         xs = list(range(-2 * n, 2 * n))
         assert render_points(xs, n) == [render_point(x, n) for x in xs]
         assert signed_residues(xs, n) == [signed_residue(x, n) for x in xs]
-        assert residues(xs, n) == [x % n for x in xs]
 
 
 @given(st.integers(1, 3 ** 13), st.data())
@@ -193,5 +191,4 @@ def test_array_writers_match_the_point_writers_at_large_moduli(n, data):
     divisors = [d for d in (2, 3, 4, 8, 9, 27, 64, 81) if n % d == 0]
     xs += [n // d * k for d in divisors for k in range(-2, 3)]    # small denominators
     assert render_points(xs, n) == [render_point(x, n) for x in xs]
-    assert signed_residues(xs, n) == [signed_residue(x, n) for x in xs]
-    assert residues(np.array(xs, dtype=np.int64), n) == [x % n for x in xs]
+    assert signed_residues(np.array(xs, dtype=np.int64), n) == [signed_residue(x, n) for x in xs]

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Interleaved parent/change benchmark pairs, written as a BENCH_*.json record.
 
-Each revision is exported with `git archive` into its own temporary
-directory, and `perfbench/run.py` runs there, unchanged, from that
-checkout's root:
+Run it from a git checkout.  Each revision is exported with `git archive`
+into its own temporary directory, and `perfbench/run.py` runs there,
+unchanged, from that checkout's root:
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 8 --trace 0
 

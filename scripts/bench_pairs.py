@@ -12,11 +12,12 @@ run the parent first and even pairs the change, so a drift of the
 machine's speed falls on both sides alike.  Every run is recorded, and
 none is dropped.  The summary holds the median and the inclusive
 quartiles of each end-to-end metric per side; `wins` counts the pairs in
-which the change is the better side.
+which the change is the better side.  What is learnt after the runs goes
+into the record by hand.
 
 Examples:
     python scripts/bench_pairs.py --parent d5d0d40 --change HEAD --dry-run
-    python scripts/bench_pairs.py --parent d5d0d40 --change HEAD --pairs 12 \\
+    python scripts/bench_pairs.py --parent d5d0d40 --change HEAD \\
         --claim "grid-sparse req_per_s" --out BENCH_29.json
 """
 
@@ -35,15 +36,17 @@ import tarfile
 import tempfile
 
 SEED, SECONDS = 1, 8        # the run every claim so far was measured with
+PAIRS = 12
+WORKLOADS = ("grid-sparse", "grid-dense", "paper")      # as BENCHMARK.json lists them
 METRICS = {"setup_s": "lower", "wall_s": "lower", "req_per_s": "higher",
            "latency_p50_ms": "lower", "latency_p90_ms": "lower", "peak_rss_mb": "lower"}
 
 
-def schedule(workloads: list[str], pairs: int) -> list[tuple[str, int, str]]:
+def schedule() -> list[tuple[str, int, str]]:
     """(workload, pair, side) in run order: odd pairs start with the parent."""
     order = []
-    for w in workloads:
-        for pair in range(1, pairs + 1):
+    for w in WORKLOADS:
+        for pair in range(1, PAIRS + 1):
             sides = ("parent", "change") if pair % 2 else ("change", "parent")
             order += [(w, pair, side) for side in sides]
     return order
@@ -54,8 +57,10 @@ def export(rev: str, into: str) -> str:
     tar = subprocess.run(["git", "archive", "--format=tar", rev],
                          capture_output=True, check=True).stdout
     root = tempfile.mkdtemp(prefix="bench-", dir=into)
+    # extraction filters came with 3.10.12 / 3.11.4; the archive is our own either way
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(root, filter="data")
+        tf.extractall(root, **safe)
     return root
 
 
@@ -117,17 +122,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--change", required=True, help="git revision of the changed side")
-    ap.add_argument("--workloads", default="grid-dense,grid-sparse,paper")
-    ap.add_argument("--pairs", type=int, default=12)
     ap.add_argument("--what", default="", help="what the change does, for the record")
     ap.add_argument("--claim", default=None, help="the metric the change claims to improve")
-    ap.add_argument("--note", default="", help="what changed after the runs, for the record")
     ap.add_argument("--out", help="the BENCH_*.json file to write (required without --dry-run)")
     ap.add_argument("--dry-run", action="store_true", help="print the schedule and stop")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
-    order = schedule(args.workloads.split(","), args.pairs)
+    order = schedule()
     if args.dry_run:
         revs = {"parent": args.parent, "change": args.change}
         for w, pair, side in order:
@@ -158,13 +158,12 @@ def main(argv=None) -> int:
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "numpy": numpy.__version__,
                     "note": "one benchmark process at a time; only interleaved pairs are compared"},
-        "protocol": f"{args.pairs} pairs per workload on seed {SEED}, both sides back to "
+        "protocol": f"{PAIRS} pairs per workload on seed {SEED}, both sides back to "
                     "back, alternating which side runs first (odd pairs: parent first); "
-                    f"workloads in the order {args.workloads}. Parent {args.parent}, change "
+                    f"workloads in the order {','.join(WORKLOADS)}. Parent {args.parent}, change "
                     f"{args.change}. Every run is listed below; none was dropped.",
         "claim": args.claim,
         "result": result_text(summary),
-        "after_the_runs": args.note,
         "summary": summary,
         "runs": runs,
     }

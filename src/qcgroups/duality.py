@@ -270,13 +270,22 @@ class ResidueSet:
                               modulus)
 
 
-@dataclass(frozen=True, eq=False)      # witnesses is an array: no elementwise ==
+@dataclass(frozen=True, eq=False)
 class HullReport:
-    """hull(E) as residues, with one verified excluding character per outside point."""
+    """hull(E) as residues, with one verified excluding character per outside point.
+
+    Two reports are equal when their input sets, hulls and witness arrays are.
+    """
 
     input_set: ResidueSet
     hull: frozenset[int]
     witnesses: np.ndarray       # rows (point, smallest excluding character), by point
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HullReport):
+            return NotImplemented
+        return (self.input_set == other.input_set and self.hull == other.hull
+                and np.array_equal(self.witnesses, other.witnesses))
 
     def is_quasi_convex(self) -> bool:
         return self.input_set.residues == self.hull

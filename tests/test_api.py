@@ -43,11 +43,14 @@ def test_every_exported_name_is_used():
 
 
 def test_only_circle_and_cli_refer_to_render_point():
-    # how a point is printed is the CLI's decision, made with circle's writer
+    # how a point is printed is the CLI's decision, made with circle's writers:
+    # the point writer and its array forms
+    writers = {"render_point", "render_points", "signed_residues"}
+
     def refers(node):
-        return ((isinstance(node, ast.Name) and node.id == "render_point")
-                or (isinstance(node, ast.Attribute) and node.attr == "render_point")
-                or (isinstance(node, ast.alias) and node.name == "render_point"))
+        return ((isinstance(node, ast.Name) and node.id in writers)
+                or (isinstance(node, ast.Attribute) and node.attr in writers)
+                or (isinstance(node, ast.alias) and node.name in writers))
 
     found = sorted({path.name for path in PACKAGE.glob("*.py")
                     for node in ast.walk(_tree(path)) if refers(node)})

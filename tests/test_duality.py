@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcgroups.circle import UnitRational, tm_interval
-from qcgroups.duality import (ResidueSet, char_polar_intervals, char_table,
+from qcgroups.duality import (HullReport, ResidueSet, char_polar_intervals, char_table,
                               check_two_x_equivalence, hull, hull_masks,
                                hull_residues, image_masks, in_t_plus,
                               polar, polar_residues, polar_sweep, polar_sweep_pairs,
@@ -75,6 +75,19 @@ def test_hull_examples_in_zn():
     rep = hull(zn(12, 1, 3))
     assert 2 not in rep.hull
     assert dict(rep.witnesses.tolist())[2] == 3     # smallest excluding character
+
+
+def test_hull_reports_compare_by_value():
+    rep = hull(zn(12, 1, 3))
+    assert rep == hull(zn(12, 1, 3)) and rep == hull(zn(12, 13, 15))
+    assert rep != hull(zn(12, 1, 5)) and rep != hull(grid(24, 1, 3))
+    W = rep.witnesses.copy()
+    W[0, 1] += 1
+    assert rep != HullReport(rep.input_set, rep.hull, W)
+    assert rep != HullReport(rep.input_set, rep.hull, W[1:])
+    assert rep != rep.input_set
+    with pytest.raises(TypeError):
+        hash(rep)
 
 
 def test_trivial_quasi_convex_sets():

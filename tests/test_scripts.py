@@ -33,18 +33,24 @@ def test_script_stdout(argv, digest):
 
 def test_bench_pairs_dry_run_prints_the_interleaved_schedule():
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
-                           "--parent", "p0", "--change", "c1", "--pairs", "3",
-                           "--workloads", "grid-sparse,paper", "--dry-run"],
+                           "--parent", "p0", "--change", "c1", "--dry-run"],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "".join(f"{line}\n" for line in [
+    lines = done.stdout.splitlines()
+    assert lines[:6] == [
         "grid-sparse pair 1 parent p0", "grid-sparse pair 1 change c1",
         "grid-sparse pair 2 change c1", "grid-sparse pair 2 parent p0",
-        "grid-sparse pair 3 parent p0", "grid-sparse pair 3 change c1",
-        "paper pair 1 parent p0", "paper pair 1 change c1",
-        "paper pair 2 change c1", "paper pair 2 parent p0",
-        "paper pair 3 parent p0", "paper pair 3 change c1",
-        "12 runs of 8 s, seed 1"])
+        "grid-sparse pair 3 parent p0", "grid-sparse pair 3 change c1"]
+    assert lines[22:26] == [
+        "grid-sparse pair 12 change c1", "grid-sparse pair 12 parent p0",
+        "grid-dense pair 1 parent p0", "grid-dense pair 1 change c1"]
+    assert lines[-3:] == [
+        "paper pair 12 change c1", "paper pair 12 parent p0", "72 runs of 8 s, seed 1"]
+    # 12 pairs of each workload, each pair one run of each side
+    assert sorted(lines[:-1]) == sorted(f"{w} pair {p} {side}"
+                                        for w in ("grid-sparse", "grid-dense", "paper")
+                                        for p in range(1, 13)
+                                        for side in ("parent p0", "change c1"))
 
 
 def test_bench_pairs_summary_counts_wins_by_direction():

@@ -38,6 +38,9 @@ whose row k packs the points p with k*p/n in T_+: a polar is an AND of
 rows and table_hull a second AND.  For n <= 64
 a row is one uint64, and hull_masks / image_masks take the hulls and
 images of whole arrays of subsets, for a block of maps, in one gather per byte.
+check_two_x_equivalence(n) answers the four-way equivalence around
+2x in Q({x, 3x}) for every x in Z(n) at once: (i) from char_table(n) rows,
+(ii)-(iv) from one boolean trace matrix, row x holding {k*x mod n}.
 
 The polar inside T of finite integer characters is a union of closed
 intervals; polar_sweep_pairs computes it on integers, for realline.polar_R,
@@ -49,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 import numpy as np
@@ -63,10 +66,11 @@ _BLOCK = 1 << 16                # cells per kernel step: survivors x next elemen
 
 
 def in_t_plus(r, n):
-    """r/n lies in T_+ = [-1/4, 1/4], for r already reduced mod n.
+    """r/n lies in T_+ = [-1/4, 1/4], for any integer r; r is reduced mod n here.
 
     Works unchanged on Python ints and on int64 numpy arrays.
     """
+    r = r % n
     return (4 * r <= n) | (4 * (n - r) <= n)
 
 
@@ -122,7 +126,7 @@ def polar_residues(n: int, elems: Iterable[int]) -> frozenset[int]:
     i = 0
     while i < len(elems):           # k holds 0, so it never empties
         block = elems[i:i + max(1, _BLOCK // len(k))]
-        k = k[in_t_plus(np.outer(k, block) % n, n).all(axis=1)]
+        k = k[in_t_plus(np.outer(k, block), n).all(axis=1)]
         i += len(block)
     return frozenset(k.tolist())
 
@@ -143,7 +147,7 @@ def hull_residues(n: int, elems: Iterable[int]) -> tuple[frozenset[int], np.ndar
     i = 0
     while i < len(polar):           # alive holds 0, so it never empties
         ks = polar[i:i + max(1, _BLOCK // len(alive))]
-        bad = ~in_t_plus(np.outer(alive, ks) % n, n)
+        bad = ~in_t_plus(np.outer(alive, ks), n)
         out = bad.any(axis=1)
         if out.any():               # argmax: the first, so smallest, excluding character
             witness[alive[out]] = ks[bad[out].argmax(axis=1)]
@@ -160,7 +164,7 @@ def char_table(n: int) -> np.ndarray:
     ar = np.arange(n, dtype=np.int64)
     table = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     for b in range(0, n, 128):          # in blocks: no n x n int64 product is held
-        ok = in_t_plus(np.outer(ar[b:b + 128], ar) % n, n)
+        ok = in_t_plus(np.outer(ar[b:b + 128], ar), n)
         table[b:b + 128] = np.packbits(ok, axis=1, bitorder="little")
     table.flags.writeable = False
     return table
@@ -315,33 +319,24 @@ def pushforward_check(E: ResidueSet, d: int) -> bool:
     return bool(table_hull(m, E.residues)[src_hull % m].all())
 
 
-@dataclass(frozen=True)
-class TwoXReport:
-    """The four equivalent conditions around 2x in Q({x, 3x})."""
+def check_two_x_equivalence(n: int) -> np.ndarray:
+    """Conditions (i)-(iv) around 2x in Q({x, 3x}), n <= 4096: a (4, n) bool array, column x.
 
-    hull_membership: bool        # 2x in Q(,{x,3x})
-    quarter_not_in_trace: bool   # +-1/4 not in Tr_x
-    half_not_in_trace2: bool     # 1/2 not in Tr_2x
-    no_two_torsion: bool         # Tr_2x has no nonzero 2-torsion
-
-    def all_agree(self) -> bool:
-        return (self.hull_membership == self.quarter_not_in_trace
-                == self.half_not_in_trace2 == self.no_two_torsion)
-
-
-def check_two_x_equivalence(n: int, x: int) -> TwoXReport:
-    """Conditions (i)-(iv) for x in Z(n), n <= 4096; (ii)-(iv) are read off residues r of r/n.
-
-    (i) is "the polar of {x, 3x} lies in row 2x of char_table(n)"; the traces Tr_x
-    and Tr_2x, all multiples of gcd(x, n) and of gcd(2x, n), are enumerated in full."""
+    (i) 2x in Q({x, 3x}), i.e. the polar of {x, 3x} lies in row 2x of
+    char_table(n); (ii) +-1/4 not in Tr_x; (iii) 1/2 not in Tr_2x; (iv) Tr_2x
+    has no nonzero 2-torsion.  Row x of one boolean trace matrix holds
+    Tr_x = {k*x mod n : every k}, enumerated in full, as residues r of r/n.
+    """
     T = char_table(n)
-    x %= n
-    i = not np.any(T[x] & T[3 * x % n] & ~T[2 * x % n])
-    tr_x, tr_2x = range(0, n, gcd(x, n)), range(0, n, gcd(2 * x, n))
-    ii = not any(4 * r in (n, 3 * n) for r in tr_x)         # r/n = +-1/4
-    iii = not any(2 * r == n for r in tr_2x)                # r/n = 1/2
-    iv = not any(r and 2 * r % n == 0 for r in tr_2x)       # r/n + r/n = 0
-    return TwoXReport(i, ii, iii, iv)
+    x = r = np.arange(n, dtype=np.int64)        # x indexes the rows, r the trace columns
+    i = ~np.any(T & T[3 * x % n] & ~T[2 * x % n], axis=1)
+    trace = np.zeros((n, n), dtype=bool)
+    for b in range(0, n, 128):          # in blocks: no n x n int64 product is held
+        trace[x[b:b + 128, None], np.outer(x[b:b + 128], x) % n] = True
+    ii = ~trace[:, (4 * r == n) | (4 * r == 3 * n)].any(axis=1)          # r/n = +-1/4
+    iii = ~trace[:, 2 * r == n].any(axis=1)[2 * x % n]                     # r/n = 1/2
+    iv = ~trace[:, (r > 0) & (2 * r % n == 0)].any(axis=1)[2 * x % n]     # r/n + r/n = 0
+    return np.array([i, ii, iii, iv])
 
 
 def char_polar_intervals(ks: Iterable[int]) -> RationalIntervalUnion:

@@ -311,18 +311,8 @@ def necessary_report_R(b: DivisibleChain) -> NecessityReportR:
 
 def _points_grid(a: GapSequence, p: int, modulus: int | None) -> ResidueSet:
     a.require_nonnegative()
-    need = p ** (a.entries[-1] + 1)
-    if modulus is None:
-        modulus = need
-    elif modulus < 1 or modulus % need:
-        raise InvalidInputError(
-            f"grid modulus {modulus} incompatible; need a multiple of {need}")
-    pts = {0}
-    for an in a.entries:
-        j = modulus // p ** (an + 1)
-        pts.add(j)
-        pts.add(modulus - j)
-    return ResidueSet(modulus, frozenset(pts))
+    return ResidueSet.from_pairs([(0, 1)] + [(s, p ** (an + 1)) for an in a.entries
+                                            for s in (1, -1)], modulus)
 
 
 def points_K2(a: GapSequence, modulus: int | None = None) -> ResidueSet:

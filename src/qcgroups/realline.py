@@ -108,7 +108,7 @@ class PeriodicPolar:
         # re-verify before reporting, independently of the search above
         if not self.contains(y):
             raise RuntimeError("witness fell outside the polar; implementation bug")
-        if in_t_plus((w := y * z).numerator % w.denominator, w.denominator):
+        if in_t_plus((w := y * z).numerator, w.denominator):
             raise RuntimeError("witness does not exclude; implementation bug")
         return HullMembership(False, y)
 

@@ -13,10 +13,10 @@ An ExclusionCertificate packages such a character with a target point, the
 exact evaluation, and a symbolic tail bound; verify_certificate re-checks
 all of it bit-exactly without trusting the construction.
 
-Every T_+ test here is duality.in_t_plus on an integer residue: chi sends
-the circle point 3^-(a_n+1) to chi mod 3^(a_n+1), m*zeta_k sends the
-3-adic point 3^(a_n) to m*3^(a_n) mod 3^(k+1), and an evaluation num/den
-is tested as num mod den.
+Every T_+ test here is duality.in_t_plus(r, d) on integers, which reduces
+r mod d itself: chi sends the circle point 3^-(a_n+1) to chi/3^(a_n+1),
+m*zeta_k sends the 3-adic point 3^(a_n) to m*3^(a_n)/3^(k+1), and an
+evaluation is tested as num/den.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def shift_char_T3(a: GapSequence, k: int, l: int, sign: int) -> int:
     chi = m * 3 ** (e[k] - 1)
     for an in e:
         d = 3 ** (an + 1)
-        if not in_t_plus(chi % d, d):
+        if not in_t_plus(chi, d):
             raise RuntimeError("shift character left the polar; implementation bug")
     return chi
 
@@ -160,7 +160,7 @@ def shift_char_J3(a: GapSequence, k: int, l: int, sign: int) -> PruferChar:
     char = PruferChar(m, e[l] + 1)
     d = 3 ** (char.index + 1)
     for an in e:
-        if not in_t_plus(m * 3 ** an % d, d):
+        if not in_t_plus(m * 3 ** an, d):
             raise RuntimeError("shift character left the polar; implementation bug")
     return char
 
@@ -238,7 +238,7 @@ def exclusion_T3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
 
     start = nz[2] if len(nz) > 2 else len(a)
     tb = tail_bound_T3(a, m, n0, start, l=n1)
-    if in_t_plus(evaluation.num % evaluation.den, evaluation.den):
+    if in_t_plus(evaluation.num, evaluation.den):
         raise RuntimeError("evaluation landed inside T_+; implementation bug")
     return ExclusionCertificate(
         family_kind="T3", family=a, character=chi, target=target, evaluation=evaluation,
@@ -267,7 +267,7 @@ def exclusion_J3(a: GapSequence, epsilon: Sequence[int]) -> ExclusionCertificate
     closed = Fraction(rho, 3) + Fraction(2, 3 ** (e[n1] - e[n0] + 2))
     if UnitRational.from_fraction(closed) != evaluation:
         raise RuntimeError("closed-form evaluation mismatch; implementation bug")
-    if in_t_plus(evaluation.num % evaluation.den, evaluation.den):
+    if in_t_plus(evaluation.num, evaluation.den):
         raise RuntimeError("evaluation landed inside T_+; implementation bug")
     start = nz[2] if len(nz) > 2 else len(a)
     return ExclusionCertificate(
@@ -301,10 +301,10 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
             return False
         for an in e[:terms]:
             d = 3 ** (an + 1)
-            if not in_t_plus(cert.character % d, d):
+            if not in_t_plus(cert.character, d):
                 return False
         ev = cert.evaluation
-        if cert.target * cert.character != ev or in_t_plus(ev.num % ev.den, ev.den):
+        if cert.target * cert.character != ev or in_t_plus(ev.num, ev.den):
             return False
         m = 3 ** (e[cert.l_index] - e[cert.k_index]) + 2 * cert.rho
         try:
@@ -329,11 +329,18 @@ def verify_certificate(cert: ExclusionCertificate, truncation: int | None = None
                 f"{max(cert.character.min_level(), e[-1] + 1)}")
         if any(g <= 1 for g in a.gaps):
             return False
-        m, d = cert.character.multiplier, 3 ** (cert.character.index + 1)
-        if not all(in_t_plus(m * 3 ** an % d, d) for an in e):
+        # the tail is zero for every gap-2 continuation exactly when m*zeta_index
+        # kills 3^(a_last + 2), i.e. 3^(index - a_last - 1) divides m; no power
+        # of 3 past |m| does, so 3^(index+1) is built only for a bounded index
+        m, index = cert.character.multiplier, cert.character.index
+        excess = max(index - e[-1] - 1, 0)
+        if m == 0 or excess > m.bit_length() or m % 3 ** excess:
+            return False
+        d = 3 ** (index + 1)
+        if not all(in_t_plus(m * 3 ** an, d) for an in e):
             return False
         ev = cert.evaluation
-        if UnitRational(m * cert.target, d) != ev or in_t_plus(ev.num % ev.den, ev.den):
+        if UnitRational(m * cert.target, d) != ev or in_t_plus(ev.num, ev.den):
             return False
         return cert.tail_bound.bound == 0
 

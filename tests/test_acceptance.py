@@ -136,6 +136,36 @@ def test_sweeps_catch_one_wrong_pairing(monkeypatch, n, k, j, detail11, detail12
     assert (r12.passed, r12.detail) == (False, detail12)
 
 
+@pytest.mark.parametrize("n, k, j, x", [(9, 1, 3, 1), (27, 2, 5, 2)])
+def test_two_x_sweep_catches_one_wrong_pairing(monkeypatch, n, k, j, x):
+    """Flip the pairing of k and j in Z(n): criterion-02 names the first (n, x) and its rows.
+
+    The flip drops 2x from the hull of {x, 3x}, so (i) alone turns False;
+    the (n, x) named is the one the per-x sweep named before it read whole columns.
+    """
+    import numpy as np
+
+    from qcgroups import acceptance, duality
+
+    real = duality.in_t_plus
+
+    def corrupted(r, modulus):
+        ok = real(r, modulus)
+        if modulus == n and np.ndim(ok) == 2:
+            ok = ok.copy()
+            ok[k, j] = ok[j, k] = not ok[k, j]
+        return ok
+
+    duality.char_table.cache_clear()
+    monkeypatch.setattr(duality, "in_t_plus", corrupted)
+    try:
+        r = acceptance.criterion_02()
+    finally:
+        duality.char_table.cache_clear()
+    assert (r.passed, r.detail) == (
+        False, f"disagreement at n={n}, x={x}: (i)-(iv) = (False, True, True, True)")
+
+
 def test_multiplication_sweep_reports_the_first_failing_set(monkeypatch):
     """Criterion-11 takes the maps k in blocks, yet names the first failing set, then its first k.
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import floor, gcd
 
 import numpy as np
 import pytest
@@ -276,6 +277,17 @@ def test_in_t_plus_on_ints_and_arrays():
     assert in_t_plus(3 ** 60 % (3 ** 61), 3 ** 61) is False    # beyond int64
 
 
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+@example(-2, 5)         # -2/5 = 3/5 mod 1, outside T_+
+@example(-1, 4)
+@example(13, 4)
+def test_in_t_plus_reduces_any_integer(r, n):
+    x = Fraction(r, n)
+    expected = abs(x - floor(x + Fraction(1, 2))) <= Fraction(1, 4)    # distance to Z
+    assert in_t_plus(r, n) == expected
+    assert in_t_plus(np.array([r], dtype=np.int64), n).tolist() == [expected]
+
+
 def test_kernel_rejects_bad_moduli():
     for n in (0, -3):
         with pytest.raises(InvalidInputError):
@@ -283,7 +295,7 @@ def test_kernel_rejects_bad_moduli():
         with pytest.raises(InvalidInputError):
             hull_residues(n, [1])
         with pytest.raises(InvalidInputError):
-            check_two_x_equivalence(n, 1)
+            check_two_x_equivalence(n)
     for n in (0, -3, 4097):
         with pytest.raises(InvalidInputError):
             char_table(n)
@@ -321,29 +333,50 @@ def test_pushforward_small_exhaustive():
 # ------------------------------------------------------------------ two-x
 
 
+def _two_x_at(n, x):
+    """The per-(n, x) conditions (i)-(iv) as they were checked one x at a time: the oracle.
+
+    (i) reads char_table(n); the traces Tr_x and Tr_2x, all multiples of
+    gcd(x, n) and of gcd(2x, n), are read off residues r of r/n.
+    """
+    T = char_table(n)
+    x %= n
+    i = not np.any(T[x] & T[3 * x % n] & ~T[2 * x % n])
+    tr_x, tr_2x = range(0, n, gcd(x, n)), range(0, n, gcd(2 * x, n))
+    ii = not any(4 * r in (n, 3 * n) for r in tr_x)         # r/n = +-1/4
+    iii = not any(2 * r == n for r in tr_2x)                # r/n = 1/2
+    iv = not any(r and 2 * r % n == 0 for r in tr_2x)       # r/n + r/n = 0
+    return (i, ii, iii, iv)
+
+
+def test_two_x_columns_match_the_per_x_oracle():
+    for n in range(1, 201):
+        rows = check_two_x_equivalence(n)
+        assert rows.shape == (4, n) and rows.dtype == bool
+        assert [tuple(col) for col in rows.T.tolist()] == [_two_x_at(n, x) for x in range(n)], n
+
+
 def test_two_x_equivalence_examples():
-    rep = check_two_x_equivalence(9, 1)
-    assert rep.all_agree() and rep.hull_membership
-    rep = check_two_x_equivalence(12, 1)
-    assert rep.all_agree() and not rep.hull_membership
-    rep = check_two_x_equivalence(5, 0)
-    assert rep.all_agree() and rep.hull_membership
+    for n, x, member in ((9, 1, True), (12, 1, False), (5, 0, True)):
+        col = check_two_x_equivalence(n)[:, x]
+        assert col.all() if member else not col.any()
 
 
 def test_two_x_equivalence_small_sweep():
     # (ii)-(iv) against their definitions on traces built as UnitRationals,
-    # so an error shared by all three conditions cannot hide behind all_agree
+    # so an error shared by all three conditions cannot hide behind their agreement
     quarter, half = UnitRational(1, 4), UnitRational(1, 2)
     for n in range(1, 61):
+        rows = check_two_x_equivalence(n)
         for x in range(n):
-            rep = check_two_x_equivalence(n, x)
-            assert rep.all_agree()
-            assert rep.hull_membership == (2 * x % n in hull(zn(n, x, 3 * x)).hull)
+            hull_membership, quarter_not_in_trace, half_not_in_trace2, no_two_torsion = rows[:, x]
+            assert hull_membership == quarter_not_in_trace == half_not_in_trace2 == no_two_torsion
+            assert hull_membership == (2 * x % n in hull(zn(n, x, 3 * x)).hull)
             tr_x = {UnitRational(k * x, n) for k in range(n)}
             tr_2x = {UnitRational(k * 2 * x, n) for k in range(n)}
-            assert rep.quarter_not_in_trace == (quarter not in tr_x and -quarter not in tr_x)
-            assert rep.half_not_in_trace2 == (half not in tr_2x)
-            assert rep.no_two_torsion == (
+            assert quarter_not_in_trace == (quarter not in tr_x and -quarter not in tr_x)
+            assert half_not_in_trace2 == (half not in tr_2x)
+            assert no_two_torsion == (
                 not any(t.num != 0 and (t + t).num == 0 for t in tr_2x))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -220,6 +221,24 @@ def test_verify_rejects_tampering():
         dataclasses.replace(j, character=PruferChar(5, 3)))
     assert not verify_certificate(
         dataclasses.replace(j, tail_bound=TailBound(2, F(1, 9))))
+
+
+def test_verify_rejects_a_J3_index_past_the_zero_tail():
+    # 1*zeta_10 maps 1 and 9 into T_+ and 3^10 to 1/3, but not the next
+    # point 3^4 of the gap-2 continuation to 0: the zero tail is false
+    j = exclusion_J3(GS(0, 2), [1, 1])
+    forged = dataclasses.replace(j, character=PruferChar(1, 10), target=3 ** 10,
+                                 evaluation=UnitRational(1, 3))
+    assert not verify_certificate(forged, 11)
+    assert not verify_certificate(dataclasses.replace(j, character=PruferChar(0, 3)))
+    # 33*zeta_4 is 11*zeta_3, so this twin is the same certificate, not reduced
+    assert j.character == PruferChar(11, 3)
+    assert verify_certificate(dataclasses.replace(j, character=PruferChar(33, 4)), 5)
+    # rejected before 3^(index+1) is built, so a huge index costs nothing
+    t0 = time.perf_counter()
+    assert not verify_certificate(dataclasses.replace(j, character=PruferChar(1, 10 ** 7)),
+                                  10 ** 7 + 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_truncation_preconditions():

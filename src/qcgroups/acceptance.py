@@ -6,8 +6,11 @@ periodic real polars) and compares them against the closed-form side:
 verdicts, necessity reports, shift characters, certificates, tail
 bounds.  All checks are exact; there are no tolerances.
 
-Run through the CLI (`qcg verify-paper`) or pytest; both print one
-pass/fail line per criterion.
+Each check registers with `@_criterion(description)` and returns its
+passing detail, or raises `_CriterionFailed` with the failing one;
+`run_one` times it and builds the result.  Run through the CLI
+(`qcg verify-paper`) or pytest; both print one pass/fail line per
+criterion.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .circle import UnitRational, tm_interval
 from .duality import (ResidueSet, char_polar_intervals, char_table,
                       check_two_x_equivalence, hull, hull_masks,
-                      hull_residues, image_masks, pushforward_check, table_hull)
+                      image_masks, pushforward_check, table_hull)
 from .errors import InvalidInputError
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
                        necessary_report_T, points_K2, points_K3, points_R2,
@@ -48,17 +51,23 @@ class CriterionResult:
         return f"{status} {self.ident}: {self.description} [{self.detail}] ({self.seconds:.2f}s)"
 
 
-def _fail(ident, description, detail, t0) -> CriterionResult:
-    return CriterionResult(ident, description, False, detail, time.time() - t0)
+class _CriterionFailed(Exception):
+    """A check found a counterexample; the message is the criterion's detail."""
 
 
-def _ok(ident, description, detail, t0) -> CriterionResult:
-    return CriterionResult(ident, description, True, detail, time.time() - t0)
+CRITERIA: dict[str, tuple[str, Callable[[], str]]] = {}
 
 
-def criterion_01() -> CriterionResult:
-    ident, desc = "criterion-01", "membership lemmas (4h, 5h, h1+-h2) exhaustive on Z(n), n <= 100"
-    t0 = time.time()
+def _criterion(description: str):
+    """Register `criterion_NN` under "criterion-NN"; the check returns its passing detail."""
+    def register(check: Callable[[], str]) -> Callable[[], str]:
+        CRITERIA[check.__name__.replace("_", "-")] = (description, check)
+        return check
+    return register
+
+
+@_criterion("membership lemmas (4h, 5h, h1+-h2) exhaustive on Z(n), n <= 100")
+def criterion_01() -> str:
     pairs = 0
     for n in range(1, 101):
         ar = np.arange(n, dtype=np.int64)
@@ -66,10 +75,10 @@ def criterion_01() -> CriterionResult:
         idx = {m: (m * ar) % n for m in (2, 3, 4, 5, 6, 8)}
         polar_b = C & C[:, idx[3]] & C[:, idx[6]]
         if np.any(polar_b & ~C[:, idx[4]]):
-            return _fail(ident, desc, f"4h failed at n={n}", t0)
+            raise _CriterionFailed(f"4h failed at n={n}")
         polar_c = C & C[:, idx[4]] & C[:, idx[8]]
         if np.any(polar_c & ~C[:, idx[5]]):
-            return _fail(ident, desc, f"5h failed at n={n}", t0)
+            raise _CriterionFailed(f"5h failed at n={n}")
         D2 = C & C[:, idx[2]]
         SUM = (ar[:, None] + ar[None, :]) % n
         DIF = (ar[:, None] - ar[None, :]) % n
@@ -78,37 +87,35 @@ def criterion_01() -> CriterionResult:
             pair_polar = row[:, None] & row[None, :]
             ok_k = C[k]
             if np.any(pair_polar & ~(ok_k[SUM] & ok_k[DIF])):
-                return _fail(ident, desc, f"h1+-h2 failed at n={n}, k={k}", t0)
+                raise _CriterionFailed(f"h1+-h2 failed at n={n}, k={k}")
         pairs += n * n
-    return _ok(ident, desc, f"{pairs} (h1,h2) pairs plus 4h/5h sweeps", t0)
+    return f"{pairs} (h1,h2) pairs plus 4h/5h sweeps"
 
 
-def criterion_02() -> CriterionResult:
-    ident, desc = "criterion-02", "four-way equivalence for 2x in Q({x,3x}), all x in Z(n), n <= 200"
-    t0 = time.time()
+@_criterion("four-way equivalence for 2x in Q({x,3x}), all x in Z(n), n <= 200")
+def criterion_02() -> str:
     checked = 0
     for n in range(1, 201):
         rows = check_two_x_equivalence(n)
         bad = np.flatnonzero((rows != rows[0]).any(axis=0))
         if len(bad):
             x = bad[0]
-            return _fail(ident, desc, f"disagreement at n={n}, x={x}: "
-                         f"(i)-(iv) = {tuple(rows[:, x].tolist())}", t0)
+            raise _CriterionFailed(f"disagreement at n={n}, x={x}: "
+                                   f"(i)-(iv) = {tuple(rows[:, x].tolist())}")
         checked += n
-    return _ok(ident, desc, f"{checked} (n,x) pairs", t0)
+    return f"{checked} (n,x) pairs"
 
 
-def criterion_03() -> CriterionResult:
-    ident, desc = "criterion-03", "{1,4,8} polar in T equals T_8 u +-(15/64 + T_16) exactly"
-    t0 = time.time()
+@_criterion("{1,4,8} polar in T equals T_8 u +-(15/64 + T_16) exactly")
+def criterion_03() -> str:
     computed = char_polar_intervals([1, 4, 8])
     shift = Fraction(15, 64)
     expected = (tm_interval(8)
                 .union(tm_interval(16).translate(shift))
                 .union(tm_interval(16).translate(-shift)))
     if computed != expected:
-        return _fail(ident, desc, f"got {computed}, expected {expected}", t0)
-    return _ok(ident, desc, str(computed), t0)
+        raise _CriterionFailed(f"got {computed}, expected {expected}")
+    return str(computed)
 
 
 def _grid_residue(x: UnitRational, modulus: int) -> int:
@@ -116,22 +123,21 @@ def _grid_residue(x: UnitRational, modulus: int) -> int:
     return r
 
 
-def criterion_04() -> CriterionResult:
-    ident, desc = "criterion-04", "a=(1,3,5,7): grid-3^9 set quasi-convex; all multi-term forms certified out"
-    t0 = time.time()
+@_criterion("a=(1,3,5,7): grid-3^9 set quasi-convex; all multi-term forms certified out")
+def criterion_04() -> str:
     a = GapSequence.of(1, 3, 5, 7)
     E = points_K3(a, 3 ** 9)
     rep = hull(E)
     if not rep.is_quasi_convex():
         extra = sorted(rep.hull - E.residues)[:4]
-        return _fail(ident, desc, f"hull gained {extra}", t0)
+        raise _CriterionFailed(f"hull gained {extra}")
     certs = 0
     for eps in product((-1, 0, 1), repeat=4):
         if sum(1 for e in eps if e) < 2:
             continue
         cert = exclusion_T3(a, eps)
         if not verify_certificate(cert):
-            return _fail(ident, desc, f"certificate failed for eps={eps}", t0)
+            raise _CriterionFailed(f"certificate failed for eps={eps}")
         e = a.entries
         closed = (Fraction(cert.rho, 3)
                   + Fraction(2, 3 ** (e[cert.l_index] - e[cert.k_index] + 2)))
@@ -143,76 +149,72 @@ def criterion_04() -> CriterionResult:
                            3 ** (e[i] - e[cert.k_index] + 2)) for i in nz[2:])
         expected_eval = UnitRational.from_fraction(closed + rem)
         if expected_eval != cert.evaluation:
-            return _fail(ident, desc, f"evaluation mismatch for eps={eps}", t0)
+            raise _CriterionFailed(f"evaluation mismatch for eps={eps}")
         if _grid_residue(cert.target, E.modulus) in rep.hull:
-            return _fail(ident, desc, f"target {cert.target} not excluded", t0)
+            raise _CriterionFailed(f"target {cert.target} not excluded")
         certs += 1
-    return _ok(ident, desc, f"hull == set on grid 3^9; {certs} certificates verified", t0)
+    return f"hull == set on grid 3^9; {certs} certificates verified"
 
 
-def criterion_05() -> CriterionResult:
-    ident, desc = "criterion-05", "base-3 negative cases: a_0=0 translate contamination; unit gap puts 2/27 in the hull"
-    t0 = time.time()
+@_criterion("base-3 negative cases: a_0=0 translate contamination; unit gap puts 2/27 in the hull")
+def criterion_05() -> str:
     E = points_K3(GapSequence.of(0, 2))
     rep = hull(E)
     translate = UnitRational(1, 3) + UnitRational(1, 27)
     res = _grid_residue(translate, E.modulus)
     if rep.is_quasi_convex() or res not in rep.hull or res in E.residues:
-        return _fail(ident, desc, "translate point 10/27 missing from hull", t0)
+        raise _CriterionFailed("translate point 10/27 missing from hull")
     E2 = points_K3(GapSequence.of(1, 2))
     rep2 = hull(E2)
     res2 = _grid_residue(UnitRational(2, 27), E2.modulus)
     if res2 not in rep2.hull or res2 in E2.residues:
-        return _fail(ident, desc, "2/27 missing from hull of {0,+-1/9,+-1/27}", t0)
-    return _ok(ident, desc, "both contaminations exhibited on their grids", t0)
+        raise _CriterionFailed("2/27 missing from hull of {0,+-1/9,+-1/27}")
+    return "both contaminations exhibited on their grids"
 
 
-def criterion_06() -> CriterionResult:
-    ident, desc = "criterion-06", "3-adic side: a=(0,2,4) quasi-convex at level 7 with certificates; a=(0,1) contaminated at levels 2..6"
-    t0 = time.time()
+@_criterion("3-adic side: a=(0,2,4) quasi-convex at level 7 with certificates; a=(0,1) contaminated at levels 2..6")
+def criterion_06() -> str:
     a = GapSequence.of(0, 2, 4)
     L = L3_truncate(a, 7)
-    rep = hull_residues(L.modulus, L.residues)
-    if frozenset(rep[0]) != L.residues:
-        return _fail(ident, desc, "truncated family not quasi-convex in Z(3^7)", t0)
+    h = hull(L).hull
+    if h != L.residues:
+        raise _CriterionFailed("truncated family not quasi-convex in Z(3^7)")
     certs = 0
     for eps in product((-1, 0, 1), repeat=3):
         if sum(1 for e in eps if e) < 2:
             continue
         cert = exclusion_J3(a, eps)
         if not verify_certificate(cert, 7):
-            return _fail(ident, desc, f"certificate failed for eps={eps}", t0)
+            raise _CriterionFailed(f"certificate failed for eps={eps}")
         raw = sum((-e if cert.negated else e) * 3 ** an
                   for e, an in zip(eps, a.entries))
-        if raw % L.modulus in rep[0]:
-            return _fail(ident, desc, f"target for eps={eps} not excluded", t0)
+        if raw % L.modulus in h:
+            raise _CriterionFailed(f"target for eps={eps} not excluded")
         certs += 1
     for m in range(2, 7):
         n = 3 ** m
         if 2 not in hull(ResidueSet(n, {1, 3, n - 1, n - 3, 0})).hull:
-            return _fail(ident, desc, f"2 missing from hull of {{0,+-1,+-3}} in Z(3^{m})", t0)
-    return _ok(ident, desc, f"{certs} certificates verified; contamination at levels 2..6", t0)
+            raise _CriterionFailed(f"2 missing from hull of {{0,+-1,+-3}} in Z(3^{m})")
+    return f"{certs} certificates verified; contamination at levels 2..6"
 
 
-def criterion_07() -> CriterionResult:
-    ident, desc = "criterion-07", "finite Q1 n Q2 equals the epsilon-form set on both carriers"
-    t0 = time.time()
+@_criterion("finite Q1 n Q2 equals the epsilon-form set on both carriers")
+def criterion_07() -> str:
     cases = 0
     for entries in [(1, 3), (1, 3, 5), (0, 2), (0, 2, 4)]:
         a = GapSequence(entries)
         aL = a.entries[-1] + 1
         if q12_set(a, "T3", aL) != epsilon_forms(a, "T3", aL):
-            return _fail(ident, desc, f"T-side mismatch for a={entries}", t0)
+            raise _CriterionFailed(f"T-side mismatch for a={entries}")
         for M in (a.entries[-1] + 1, level_for(a)):
             if q12_set(a, "J3", M) != epsilon_forms(a, "J3", M):
-                return _fail(ident, desc, f"J-side mismatch for a={entries} at level {M}", t0)
+                raise _CriterionFailed(f"J-side mismatch for a={entries} at level {M}")
         cases += 1
-    return _ok(ident, desc, f"{cases} sequences, both carriers", t0)
+    return f"{cases} sequences, both carriers"
 
 
-def criterion_08() -> CriterionResult:
-    ident, desc = "criterion-08", "J_1 = J_2 = complement of the sequence, on both carriers"
-    t0 = time.time()
+@_criterion("J_1 = J_2 = complement of the sequence, on both carriers")
+def criterion_08() -> str:
     for entries in [(1, 3), (0, 2, 4), (1, 3, 5), (2, 5, 9)]:
         a = GapSequence(entries)
         k_max = a.entries[-1] + 2
@@ -221,18 +223,17 @@ def criterion_08() -> CriterionResult:
             j1 = compute_Jm(a, 1, k_max, side)
             j2 = compute_Jm(a, 2, k_max, side)
             if not (j1 == j2 == expected):
-                return _fail(ident, desc,
-                             f"a={entries} side={side}: J1={sorted(j1)} J2={sorted(j2)}", t0)
-    return _ok(ident, desc, "4 sequences, both sides, k through a_max+2", t0)
+                raise _CriterionFailed(
+                    f"a={entries} side={side}: J1={sorted(j1)} J2={sorted(j2)}")
+    return "4 sequences, both sides, k through a_max+2"
 
 
 def _grid_is_quasi_convex(E: ResidueSet) -> bool:
     return set(np.flatnonzero(table_hull(E.modulus, E.residues)).tolist()) == E.residues
 
 
-def criterion_09() -> CriterionResult:
-    ident, desc = "criterion-09", "dyadic verdicts agree with brute force (T via grids, R via hull_R), entries <= 9, length <= 4"
-    t0 = time.time()
+@_criterion("dyadic verdicts agree with brute force (T via grids, R via hull_R), entries <= 9, length <= 4")
+def criterion_09() -> str:
     seqs = [GapSequence(c) for r in range(1, 5)
             for c in combinations(range(10), r)]
     checked_t = checked_r = 0
@@ -241,8 +242,8 @@ def criterion_09() -> CriterionResult:
         if v.is_quasi_convex:
             for tlen in range(1, len(a) + 1):
                 if not _grid_is_quasi_convex(points_K2(a.prefix(tlen))):
-                    return _fail(ident, desc,
-                                 f"T2 verdict QC but truncation {a.entries[:tlen]} is not", t0)
+                    raise _CriterionFailed(
+                        f"T2 verdict QC but truncation {a.entries[:tlen]} is not")
         else:
             recipe = v.witness_recipe
             work = a
@@ -260,7 +261,7 @@ def criterion_09() -> CriterionResult:
             if (not table_hull(E.modulus, E.residues)[res] or res in E.residues
                     or _grid_residue(w, full.modulus) in full.residues
                     or (work is a and _grid_is_quasi_convex(full))):
-                return _fail(ident, desc, f"T2 witness failed for a={a.entries}", t0)
+                raise _CriterionFailed(f"T2 witness failed for a={a.entries}")
         checked_t += 1
 
         vr = verdict_R2(a)
@@ -268,8 +269,8 @@ def criterion_09() -> CriterionResult:
             for tlen in range(1, len(a) + 1):
                 S = RealFiniteSet(points_R2(a.prefix(tlen)))
                 if hull_R(S) != S.points:
-                    return _fail(ident, desc,
-                                 f"R2 verdict QC but truncation {a.entries[:tlen]} is not", t0)
+                    raise _CriterionFailed(
+                        f"R2 verdict QC but truncation {a.entries[:tlen]} is not")
         else:
             recipe = vr.witness_recipe
             w = recipe.witness_point(a)
@@ -277,33 +278,32 @@ def criterion_09() -> CriterionResult:
             full = RealFiniteSet(points_R2(a))
             if (not member_hull_R(S, w).inside or w in S.points
                     or w in full.points or hull_R(full) == full.points):
-                return _fail(ident, desc, f"R2 witness failed for a={a.entries}", t0)
+                raise _CriterionFailed(f"R2 witness failed for a={a.entries}")
         checked_r += 1
-    return _ok(ident, desc, f"{checked_t} sequences on the circle, {checked_r} on the line", t0)
+    return f"{checked_t} sequences on the circle, {checked_r} on the line"
 
 
-def criterion_10() -> CriterionResult:
-    ident, desc = "criterion-10", "chain necessity reports match brute-force contamination"
-    t0 = time.time()
+@_criterion("chain necessity reports match brute-force contamination")
+def criterion_10() -> str:
     rep = necessary_report_T(DivisibleChain((2, 8)))
     if rep.b0_ge_4 or rep.all_pass:
-        return _fail(ident, desc, "(2,8) should fail b0 >= 4", t0)
+        raise _CriterionFailed("(2,8) should fail b0 >= 4")
     X = ResidueSet.from_rationals([Fraction(0), Fraction(1, 2), Fraction(-1, 2),
                                    Fraction(1, 8), Fraction(-1, 8)])
     h = hull(X)
     res = _grid_residue(UnitRational(5, 8), 8)
     if res not in h.hull or res in X.residues:
-        return _fail(ident, desc, "translate contamination missing for (2,8)", t0)
+        raise _CriterionFailed("translate contamination missing for (2,8)")
 
     rep = necessary_report_T(DivisibleChain((9, 27, 81)))
     if rep.no_q3_without_4_divisor or rep.all_pass:
-        return _fail(ident, desc, "(9,27,81) should fail the q!=3 rule", t0)
+        raise _CriterionFailed("(9,27,81) should fail the q!=3 rule")
     X = ResidueSet.from_rationals(
         [Fraction(0)] + [s * Fraction(1, b) for b in (9, 27, 81) for s in (1, -1)])
     h = hull(X)
     res = _grid_residue(UnitRational(2, 27), 81)
     if res not in h.hull or res in X.residues:
-        return _fail(ident, desc, "2/27 missing from hull for (9,27,81)", t0)
+        raise _CriterionFailed("2/27 missing from hull for (9,27,81)")
 
     cases = 0
     for b0 in (2, 4, 8, 16):
@@ -315,18 +315,18 @@ def criterion_10() -> CriterionResult:
         for terms, wit in patterns:
             chain = DivisibleChain(terms)
             if necessary_report_R(chain).all_pass or necessary_report_T(chain).all_pass:
-                return _fail(ident, desc, f"chain {terms} should fail necessity", t0)
+                raise _CriterionFailed(f"chain {terms} should fail necessity")
             pts = [Fraction(0)] + [s * Fraction(1, b) for b in terms for s in (1, -1)]
             X = ResidueSet.from_rationals(pts)
             h = hull(X)
             res = _grid_residue(UnitRational.from_fraction(wit), X.modulus)
             if res not in h.hull or res in X.residues:
-                return _fail(ident, desc, f"witness {wit} missing from T-hull of {terms}", t0)
+                raise _CriterionFailed(f"witness {wit} missing from T-hull of {terms}")
             S = RealFiniteSet(pts)
             if not member_hull_R(S, wit).inside or wit in S.points:
-                return _fail(ident, desc, f"witness {wit} missing from R-hull of {terms}", t0)
+                raise _CriterionFailed(f"witness {wit} missing from R-hull of {terms}")
             cases += 1
-    return _ok(ident, desc, f"named chains plus {cases} patterned chains, T and R", t0)
+    return f"named chains plus {cases} patterned chains, T and R"
 
 
 def _symmetric_masks(n: int, gens, sizes) -> np.ndarray:
@@ -345,9 +345,8 @@ def _nth_combination(gens, sizes, i: int) -> tuple[int, ...]:
     return next(islice(chain.from_iterable(combinations(gens, r) for r in sizes), i, None))
 
 
-def criterion_11() -> CriterionResult:
-    ident, desc = "criterion-11", "pushforward containment f(Q(E)) in Q(f(E)) for multiplications and quotients"
-    t0 = time.time()
+@_criterion("pushforward containment f(Q(E)) in Q(f(E)) for multiplications and quotients")
+def criterion_11() -> str:
     checked = 0
     # multiply-by-k on every grid N <= 64, over all symmetric sets with
     # up to 3 generator pairs; Q(E) = Q(E u -E u {0}) makes this cover
@@ -369,12 +368,12 @@ def criterion_11() -> CriterionResult:
         if failed:
             s, k = min(failed)              # the first failing set, then its first k
             gs = _nth_combination(gens, sizes, s)
-            return _fail(ident, desc, f"multiplication failed: n={n}, E={gs}, k={k}", t0)
+            raise _CriterionFailed(f"multiplication failed: n={n}, E={gs}, k={k}")
     # quotient Z(27) -> Z(9): genuinely all E of size <= 3
     for r in (1, 2, 3):
         for E in combinations(range(27), r):
             if not pushforward_check(ResidueSet(27, E), 3):
-                return _fail(ident, desc, f"quotient Z(27)->Z(9) failed for E={E}", t0)
+                raise _CriterionFailed(f"quotient Z(27)->Z(9) failed for E={E}")
             checked += 1
     # quotient Z(3^7) -> Z(3^4): family-shaped generator pool
     pool = sorted({3 ** i for i in range(7)} | {2 * 3 ** i for i in range(7)}
@@ -382,9 +381,9 @@ def criterion_11() -> CriterionResult:
     for r in (1, 2, 3):
         for E in combinations(pool, r):
             if not pushforward_check(ResidueSet(3 ** 7, E), 27):
-                return _fail(ident, desc, f"quotient Z(3^7)->Z(3^4) failed for E={E}", t0)
+                raise _CriterionFailed(f"quotient Z(3^7)->Z(3^4) failed for E={E}")
             checked += 1
-    return _ok(ident, desc, f"{checked} (E, f) pairs", t0)
+    return f"{checked} (E, f) pairs"
 
 
 def _division_sets(n: int, gens) -> np.ndarray:
@@ -401,9 +400,8 @@ def _is_quasi_convex(n: int, masks: np.ndarray) -> np.ndarray:
     return hull_masks(n, masks) == masks
 
 
-def criterion_12() -> CriterionResult:
-    ident, desc = "criterion-12", "division lemma, grid form: both clauses exhaustive for N <= 64"
-    t0 = time.time()
+@_criterion("division lemma, grid form: both clauses exhaustive for N <= 64")
+def criterion_12() -> str:
     checked = 0
     for n in range(4, 65):
         # clause (a): Y inside T_m, kY quasi-convex, 0 < k <= 2m  =>  Y quasi-convex
@@ -418,8 +416,7 @@ def criterion_12() -> CriterionResult:
             if failed.size:
                 s, i = failed[0]
                 gs = _nth_combination(gens, range(len(gens) + 1), (s + 1) // 2)
-                return _fail(ident, desc,
-                             f"(a) fails: n={n}, m={m}, k={ks[i]}, gens={gs}", t0)
+                raise _CriterionFailed(f"(a) fails: n={n}, m={m}, k={ks[i]}, gens={gs}")
             m += 1
         # clause (b): Y inside T_4m, 4mY quasi-convex  =>  {+-1/(4m)} u Y quasi-convex
         for m in range(1, n // 4 + 1):
@@ -434,28 +431,19 @@ def criterion_12() -> CriterionResult:
             failed = np.flatnonzero(premise & ~_is_quasi_convex(n, yprime))
             if failed.size:
                 gs = _nth_combination(gens, range(len(gens) + 1), (failed[0] + 1) // 2)
-                return _fail(ident, desc, f"(b) fails: n={n}, m={m}, gens={gs}", t0)
-    return _ok(ident, desc, f"{checked} quasi-convex premises discharged", t0)
+                raise _CriterionFailed(f"(b) fails: n={n}, m={m}, gens={gs}")
+    return f"{checked} quasi-convex premises discharged"
 
 
-CRITERIA: dict[str, tuple[str, Callable[[], CriterionResult]]] = {
-    "criterion-01": ("membership lemmas", criterion_01),
-    "criterion-02": ("two-x equivalence", criterion_02),
-    "criterion-03": ("{1,4,8} polar constant", criterion_03),
-    "criterion-04": ("base-3 circle positive case", criterion_04),
-    "criterion-05": ("base-3 circle negative cases", criterion_05),
-    "criterion-06": ("3-adic family cases", criterion_06),
-    "criterion-07": ("Q1 n Q2 finite analogues", criterion_07),
-    "criterion-08": ("J_m index sets", criterion_08),
-    "criterion-09": ("dyadic verdict/oracle agreement", criterion_09),
-    "criterion-10": ("chain necessity reports", criterion_10),
-    "criterion-11": ("pushforward functoriality", criterion_11),
-    "criterion-12": ("division lemma grid form", criterion_12),
-}
-
-
-def _run_one(ident: str) -> CriterionResult:
-    return CRITERIA[ident][1]()
+def run_one(ident: str) -> CriterionResult:
+    """Run one registered criterion, timed; only a failed check becomes a FAIL result."""
+    description, check = CRITERIA[ident]
+    t0 = time.perf_counter()
+    try:
+        detail, passed = check(), True
+    except _CriterionFailed as exc:
+        detail, passed = str(exc), False
+    return CriterionResult(ident, description, passed, detail, time.perf_counter() - t0)
 
 
 def run_all(idents: Optional[Iterable[str]] = None, jobs: int = 1,
@@ -473,12 +461,12 @@ def run_all(idents: Optional[Iterable[str]] = None, jobs: int = 1,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_run_one, wanted):
+            for res in pool.map(run_one, wanted):
                 results[res.ident] = res
                 print(res.line(), file=stream)
     else:
         for ident in wanted:
-            res = _run_one(ident)
+            res = run_one(ident)
             results[ident] = res
             print(res.line(), file=stream)
     return [results[i] for i in wanted]

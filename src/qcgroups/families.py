@@ -108,9 +108,9 @@ class WitnessRecipe:
         # triadic sum 1/3 + x_i never collides and i = 1 works
         if self.family == "T3":
             return 1
-        for i in range(1, len(a.entries)):
-            if a.entries[i] >= 2:
-                return i
+        i = _first_entry_from_two(a)
+        if i is not None:
+            return i
         raise InvalidInputError(
             "translate witness needs an entry >= 2 beyond the first")
 
@@ -188,10 +188,15 @@ def _unit_then_small(a: GapSequence) -> Optional[int]:
     return None
 
 
+def _first_entry_from_two(a: GapSequence) -> Optional[int]:
+    """The first index i >= 1 with a_i >= 2, or None."""
+    return next((i for i, e in enumerate(a.entries) if i and e >= 2), None)
+
+
 def _translate_terms_T2(a: GapSequence) -> int:
-    for i in range(1, len(a.entries)):
-        if a.entries[i] >= 2:
-            return i + 1
+    i = _first_entry_from_two(a)
+    if i is not None:
+        return i + 1
     # with no usable entry in the prefix, the canonical gap-2 extension
     # provides one immediately
     return len(a.entries) + 1

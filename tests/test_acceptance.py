@@ -8,7 +8,8 @@ they complete, or `qcg verify-paper` for the standalone report.
 
 import pytest
 
-from qcgroups.acceptance import CRITERIA
+from qcgroups import acceptance
+from qcgroups.acceptance import CRITERIA, run_one
 from qcgroups.errors import InvalidInputError
 
 
@@ -29,9 +30,37 @@ DETAILS = {
 }
 
 
+# what each criterion prints as its claim, in `verify-paper` output
+DESCRIPTIONS = {
+    "criterion-01": "membership lemmas (4h, 5h, h1+-h2) exhaustive on Z(n), n <= 100",
+    "criterion-02": "four-way equivalence for 2x in Q({x,3x}), all x in Z(n), n <= 200",
+    "criterion-03": "{1,4,8} polar in T equals T_8 u +-(15/64 + T_16) exactly",
+    "criterion-04": "a=(1,3,5,7): grid-3^9 set quasi-convex; all multi-term forms certified out",
+    "criterion-05": "base-3 negative cases: a_0=0 translate contamination; "
+                    "unit gap puts 2/27 in the hull",
+    "criterion-06": "3-adic side: a=(0,2,4) quasi-convex at level 7 with certificates; "
+                    "a=(0,1) contaminated at levels 2..6",
+    "criterion-07": "finite Q1 n Q2 equals the epsilon-form set on both carriers",
+    "criterion-08": "J_1 = J_2 = complement of the sequence, on both carriers",
+    "criterion-09": "dyadic verdicts agree with brute force (T via grids, R via hull_R), "
+                    "entries <= 9, length <= 4",
+    "criterion-10": "chain necessity reports match brute-force contamination",
+    "criterion-11": "pushforward containment f(Q(E)) in Q(f(E)) for multiplications and quotients",
+    "criterion-12": "division lemma, grid form: both clauses exhaustive for N <= 64",
+}
+
+
+def test_registry_holds_every_criterion_in_order():
+    """Each check registers under its own name, in file order, with its description."""
+    assert list(CRITERIA) == [f"criterion-{i:02d}" for i in range(1, 13)]
+    for ident, (description, check) in CRITERIA.items():
+        assert check is getattr(acceptance, ident.replace("-", "_"))
+        assert description == DESCRIPTIONS[ident]
+
+
 @pytest.mark.parametrize("ident", sorted(CRITERIA))
 def test_criterion(ident):
-    result = CRITERIA[ident][1]()
+    result = run_one(ident)
     print(result.line())
     assert result.passed, result.line()
     assert result.detail == DETAILS[ident]
@@ -113,7 +142,7 @@ def test_sweeps_catch_one_wrong_pairing(monkeypatch, n, k, j, detail11, detail12
     """Flip the pairing of k and j in Z(n) inside the batched kernel's table."""
     import numpy as np
 
-    from qcgroups import acceptance, duality
+    from qcgroups import duality
 
     real = duality.in_t_plus
 
@@ -129,7 +158,7 @@ def test_sweeps_catch_one_wrong_pairing(monkeypatch, n, k, j, detail11, detail12
     duality.char_table.cache_clear()
     monkeypatch.setattr(duality, "in_t_plus", corrupted)
     try:
-        r11, r12 = acceptance.criterion_11(), acceptance.criterion_12()
+        r11, r12 = run_one("criterion-11"), run_one("criterion-12")
     finally:
         duality.char_table.cache_clear()
     assert (r11.passed, r11.detail) == (False, detail11)
@@ -145,7 +174,7 @@ def test_two_x_sweep_catches_one_wrong_pairing(monkeypatch, n, k, j, x):
     """
     import numpy as np
 
-    from qcgroups import acceptance, duality
+    from qcgroups import duality
 
     real = duality.in_t_plus
 
@@ -159,7 +188,7 @@ def test_two_x_sweep_catches_one_wrong_pairing(monkeypatch, n, k, j, x):
     duality.char_table.cache_clear()
     monkeypatch.setattr(duality, "in_t_plus", corrupted)
     try:
-        r = acceptance.criterion_02()
+        r = run_one("criterion-02")
     finally:
         duality.char_table.cache_clear()
     assert (r.passed, r.detail) == (
@@ -174,8 +203,6 @@ def test_multiplication_sweep_reports_the_first_failing_set(monkeypatch):
     """
     import numpy as np
 
-    from qcgroups import acceptance
-
     real = acceptance.hull_masks
     sets = acceptance._symmetric_masks(48, range(1, 25), (1, 2, 3))
 
@@ -186,13 +213,13 @@ def test_multiplication_sweep_reports_the_first_failing_set(monkeypatch):
         return out
 
     monkeypatch.setattr(acceptance, "hull_masks", dropped)
-    r = acceptance.criterion_11()
+    r = run_one("criterion-11")
     assert (r.passed, r.detail) == (False, "multiplication failed: n=48, E=(1,), k=24")
 
 
 def test_criterion_09_builds_each_grid_table_once(monkeypatch):
     """char_table's cache holds every grid criterion-09 cycles through: one build per modulus."""
-    from qcgroups import acceptance, duality
+    from qcgroups import duality
 
     real, moduli = acceptance.table_hull, set()
 
@@ -202,9 +229,64 @@ def test_criterion_09_builds_each_grid_table_once(monkeypatch):
 
     monkeypatch.setattr(acceptance, "table_hull", recording)
     duality.char_table.cache_clear()
-    assert acceptance.criterion_09().passed
+    assert run_one("criterion-09").passed
     assert duality.char_table.cache_info().misses == len(moduli) > 0
     assert moduli <= {2 ** i for i in range(1, 11)}
+
+
+def _always_quasi_convex(a):
+    from qcgroups.families import QUASI_CONVEX, Verdict
+
+    return Verdict(QUASI_CONVEX)
+
+
+def _zero_images_under_lists(n, masks, ks):
+    """image_masks, except that the image of every set under a list of maps is {0}."""
+    import numpy as np
+
+    from qcgroups import duality
+
+    if isinstance(ks, list):
+        return np.ones((len(masks), len(ks)), dtype=np.uint64)
+    return duality.image_masks(n, masks, ks)
+
+
+@pytest.mark.parametrize("target, replacement, ident, detail", [
+    ("verdict_T2", _always_quasi_convex, "criterion-09",
+     "T2 verdict QC but truncation (0, 2) is not"),
+    ("verdict_R2", _always_quasi_convex, "criterion-09",
+     "R2 verdict QC but truncation (0, 1, 2) is not"),
+    ("image_masks", _zero_images_under_lists, "criterion-12",
+     "(b) fails: n=16, m=1, gens=(1,)"),
+    ("verify_certificate", lambda *args: False, "criterion-04",
+     "certificate failed for eps=(-1, -1, -1, -1)"),
+    ("verify_certificate", lambda *args: False, "criterion-06",
+     "certificate failed for eps=(-1, -1, -1)"),
+])
+def test_planted_failure_is_reported(monkeypatch, target, replacement, ident, detail):
+    """A wrong closed-form side makes the criterion FAIL with the first counterexample."""
+    monkeypatch.setattr(acceptance, target, replacement)
+    result = run_one(ident)
+    assert (result.ident, result.passed, result.detail) == (ident, False, detail)
+    assert result.line().startswith(f"FAIL {ident}: {DESCRIPTIONS[ident]} [{detail}] (")
+
+
+def test_an_error_inside_a_check_is_not_a_failure(monkeypatch):
+    """Only a counterexample is a FAIL; any other exception propagates and prints no line."""
+    import io
+
+    from qcgroups.acceptance import run_all
+
+    def broken(m):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(acceptance, "tm_interval", broken)
+    with pytest.raises(RuntimeError, match="^planted$"):
+        run_one("criterion-03")
+    stream = io.StringIO()
+    with pytest.raises(RuntimeError, match="^planted$"):
+        run_all(["criterion-03"], stream=stream)
+    assert stream.getvalue() == ""
 
 
 def test_division_sets_follow_the_loop_order():

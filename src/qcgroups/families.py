@@ -108,7 +108,7 @@ class WitnessRecipe:
         # triadic sum 1/3 + x_i never collides and i = 1 works
         if self.family == "T3":
             return 1
-        i = _first_entry_from_two(a)
+        i = _first_entry_ge_2(a)
         if i is not None:
             return i
         raise InvalidInputError(
@@ -188,13 +188,13 @@ def _unit_then_small(a: GapSequence) -> Optional[int]:
     return None
 
 
-def _first_entry_from_two(a: GapSequence) -> Optional[int]:
+def _first_entry_ge_2(a: GapSequence) -> Optional[int]:
     """The first index i >= 1 with a_i >= 2, or None."""
     return next((i for i, e in enumerate(a.entries) if i and e >= 2), None)
 
 
 def _translate_terms_T2(a: GapSequence) -> int:
-    i = _first_entry_from_two(a)
+    i = _first_entry_ge_2(a)
     if i is not None:
         return i + 1
     # with no usable entry in the prefix, the canonical gap-2 extension

@@ -264,7 +264,7 @@ def _zero_images_under_lists(n, masks, ks):
      "certificate failed for eps=(-1, -1, -1)"),
 ])
 def test_planted_failure_is_reported(monkeypatch, target, replacement, ident, detail):
-    """A wrong closed-form side makes the criterion FAIL with the first counterexample."""
+    """A planted wrong answer makes the criterion FAIL and name its first counterexample."""
     monkeypatch.setattr(acceptance, target, replacement)
     result = run_one(ident)
     assert (result.ident, result.passed, result.detail) == (ident, False, detail)

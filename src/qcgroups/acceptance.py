@@ -329,16 +329,28 @@ def criterion_10() -> str:
     return f"named chains plus {cases} patterned chains, T and R"
 
 
+def _subset_masks(bits: np.ndarray, sizes) -> np.ndarray:
+    """OR of bits[i] over every combination of indices of size r, r in sizes, in itertools order.
+
+    The size-(r+1) masks extend each size-r mask by every later index, so
+    each size is one np.repeat of the one before; no index array is built.
+    """
+    bits = np.asarray(bits, dtype=np.uint64)
+    masks, last = np.zeros(1, dtype=np.uint64), np.full(1, -1)     # size 0: the empty set
+    by_size = [masks]
+    for _ in range(max(sizes)):
+        counts = len(bits) - 1 - last                   # later indices per mask
+        starts = np.cumsum(counts) - counts
+        last = np.repeat(last + 1 - starts, counts) + np.arange(counts.sum())
+        masks = np.repeat(masks, counts) | bits[last]
+        by_size.append(masks)
+    return np.concatenate([by_size[r] for r in sizes])
+
+
 def _symmetric_masks(n: int, gens, sizes) -> np.ndarray:
     """uint64 masks of {+-g : g in gs} for every gs in combinations(gens, r),
     r in sizes, in itertools order."""
-    pair = np.array([(1 << g) | (1 << ((n - g) % n)) for g in gens], dtype=np.uint64)
-    chunks = []
-    for r in sizes:
-        combos = list(combinations(range(len(gens)), r))
-        idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
-        chunks.append(np.bitwise_or.reduce(pair[idx], axis=1))
-    return np.concatenate(chunks)
+    return _subset_masks([(1 << g) | (1 << ((n - g) % n)) for g in gens], sizes)
 
 
 def _nth_combination(gens, sizes, i: int) -> tuple[int, ...]:
@@ -369,12 +381,14 @@ def criterion_11() -> str:
             s, k = min(failed)              # the first failing set, then its first k
             gs = _nth_combination(gens, sizes, s)
             raise _CriterionFailed(f"multiplication failed: n={n}, E={gs}, k={k}")
-    # quotient Z(27) -> Z(9): genuinely all E of size <= 3
-    for r in (1, 2, 3):
-        for E in combinations(range(27), r):
-            if not pushforward_check(ResidueSet(27, E), 3):
-                raise _CriterionFailed(f"quotient Z(27)->Z(9) failed for E={E}")
-            checked += 1
+    # quotient Z(27) -> Z(9): genuinely all E of size <= 3, one row per set
+    sets = _subset_masks(np.uint64(1) << np.arange(27, dtype=np.uint64), sizes)
+    mapped = image_masks(27, hull_masks(27, sets), [1], 9)[:, 0]
+    failed = np.flatnonzero(mapped & ~hull_masks(9, image_masks(27, sets, [1], 9)[:, 0]))
+    if failed.size:
+        E = _nth_combination(range(27), sizes, failed[0])
+        raise _CriterionFailed(f"quotient Z(27)->Z(9) failed for E={E}")
+    checked += len(sets)
     # quotient Z(3^7) -> Z(3^4): family-shaped generator pool
     pool = sorted({3 ** i for i in range(7)} | {2 * 3 ** i for i in range(7)}
                   | {1, 2, 4, 5, 7, 13})

@@ -35,9 +35,11 @@ order, which HullReport.witnesses holds and the CLI writes in bulk; no
 per-point dict is built.  Single CLI calls use these kernels;
 sweeps that repeat one modulus read the cached char_table(n), n <= 4096,
 whose row k packs the points p with k*p/n in T_+: a polar is an AND of
-rows and table_hull a second AND.  For n <= 64
+rows and table_hull a second AND.  realline.hull_R takes the grid hull
+there too, for grids up to 4096, since it reads no witnesses.  For n <= 64
 a row is one uint64, and hull_masks / image_masks take the hulls and
-images of whole arrays of subsets, for a block of maps, in one gather per byte.
+images of whole arrays of subsets, for a block of maps, in one gather per
+byte; image_masks maps into Z(m), so it also gives the quotients Z(n) -> Z(m).
 check_two_x_equivalence(n) answers the four-way equivalence around
 2x in Q({x, 3x}) for every x in Z(n) at once: (i) from char_table(n) rows,
 (ii)-(iv) from one boolean trace matrix, row x holding {k*x mod n}.
@@ -220,11 +222,17 @@ def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
     return _gather(np.bitwise_and, tables, _gather(np.bitwise_and, tables, masks))
 
 
-def image_masks(n: int, masks: np.ndarray, ks: Iterable[int]) -> np.ndarray:
-    """k*E for every subset E of Z(n) in a uint64 array, a trailing column per k in ks; n <= 64."""
+def image_masks(n: int, masks: np.ndarray, ks: Iterable[int], m: int | None = None) -> np.ndarray:
+    """k*E for every subset E of Z(n) in a uint64 array, a trailing column per k in ks; n <= 64.
+
+    The image lies in Z(m), j -> k*j mod m (m defaults to n; m <= 64); with
+    k = 1 and m | n it is the quotient Z(n) -> Z(m).
+    """
     _checked_modulus(n, 64)
+    m = n if m is None else m
+    _checked_modulus(m, 64)
     ks = np.fromiter(ks, dtype=np.int64)
-    rows = np.uint64(1) << (np.outer(np.arange(n, dtype=np.int64), ks) % n).astype(np.uint64)
+    rows = np.uint64(1) << (np.outer(np.arange(n, dtype=np.int64), ks) % m).astype(np.uint64)
     return _gather(np.bitwise_or, _byte_tables(np.bitwise_or, np.uint64(0), rows), masks)
 
 

@@ -15,9 +15,11 @@ PeriodicPolar.member finds the first bad j in closed form, one pass per
 interval whatever N is; Fractions are built only for the witness.
 
 The full hull is recovered through the circle: scale S into (-1/2, 1/2)
-by a power of two, push down to a grid in T, take the grid hull there,
-pull the finitely many candidates back and keep the ones the polar of S
-admits (one polar, built once, tests every candidate).  The scaling map
+by a power of two, push down to a grid in T, take the grid hull there
+(from the cached duality.table_hull for grids up to 4096, from the
+shrinking kernel past that), pull the finitely many candidates back and
+keep the ones the polar of S admits (one polar, built once, tests every
+candidate).  The scaling map
 is an automorphism of R and the projection is injective on the open
 window, so this candidate set provably contains the hull, and the member
 filter is exact.
@@ -33,8 +35,11 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
+import numpy as np
+
 from .circle import HALF, RationalIntervalUnion, render_rational, signed_residue
-from .duality import ResidueSet, hull, in_t_plus, polar_sweep_pairs
+from .duality import (_TABLE_MAX_MODULUS, ResidueSet, hull, in_t_plus,
+                      polar_sweep_pairs, table_hull)
 from .errors import InvalidInputError
 
 QUARTER = Fraction(1, 4)
@@ -195,7 +200,10 @@ def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
     scaled = [alpha * p for p in S.points]
     M = S.max_abs()
     grid = ResidueSet.from_rationals(scaled)
-    candidates = sorted(hull(grid).hull)   # rejects a grid too large before the sweep
+    if grid.modulus <= _TABLE_MAX_MODULUS:     # the cached table; no witnesses are read
+        candidates = np.flatnonzero(table_hull(grid.modulus, grid.residues)).tolist()
+    else:                                   # rejects a grid too large before the sweep
+        candidates = hull(grid).hull
     polar = polar_R(S)
     out = set()
     for j in candidates:

@@ -217,21 +217,59 @@ def test_multiplication_sweep_reports_the_first_failing_set(monkeypatch):
     assert (r.passed, r.detail) == (False, "multiplication failed: n=48, E=(1,), k=24")
 
 
+@pytest.mark.parametrize("min_points, detail", [
+    (1, "quotient Z(27)->Z(9) failed for E=(4,)"),
+    (2, "quotient Z(27)->Z(9) failed for E=(0, 4)"),
+])
+def test_quotient_sweep_reports_the_first_failing_set(monkeypatch, min_points, detail):
+    """Drop 5 from the Z(9) hull of every quotient image with >= min_points points.
+
+    The first set in loop order (sizes 1..3, then combinations order) whose
+    hull maps onto 5 is named: {4} (its hull holds -4 = 23), or {0, 4}.
+    """
+    from itertools import combinations
+
+    import numpy as np
+
+    real = acceptance.hull_masks
+    images = np.array([sum(1 << j for j in {e % 9 for e in E}) for r in (1, 2, 3)
+                       for E in combinations(range(27), r)], dtype=np.uint64)
+
+    def dropped(n, masks):
+        out = real(n, masks)
+        if n == 9 and np.array_equal(masks, images):        # the quotient's images only
+            big = np.array([int(m).bit_count() >= min_points for m in masks])
+            out = np.where(big, out & ~np.uint64(1 << 5), out)
+        return out
+
+    monkeypatch.setattr(acceptance, "hull_masks", dropped)
+    r = run_one("criterion-11")
+    assert (r.passed, r.detail) == (False, detail)
+
+
 def test_criterion_09_builds_each_grid_table_once(monkeypatch):
-    """char_table's cache holds every grid criterion-09 cycles through: one build per modulus."""
-    from qcgroups import duality
+    """char_table's cache holds every grid criterion-09 cycles through: one build per modulus.
 
-    real, moduli = acceptance.table_hull, set()
+    The T side reads its grids through acceptance.table_hull, and hull_R its
+    candidates through realline.table_hull; the two sides share the tables.
+    """
+    from qcgroups import duality, realline
 
-    def recording(n, elems):
-        moduli.add(n)
-        return real(n, elems)
+    moduli = {"T": set(), "R": set()}
 
-    monkeypatch.setattr(acceptance, "table_hull", recording)
+    def recording(side, real):
+        def table_hull(n, elems):
+            moduli[side].add(n)
+            return real(n, elems)
+        return table_hull
+
+    monkeypatch.setattr(acceptance, "table_hull", recording("T", acceptance.table_hull))
+    monkeypatch.setattr(realline, "table_hull", recording("R", realline.table_hull))
     duality.char_table.cache_clear()
     assert run_one("criterion-09").passed
-    assert duality.char_table.cache_info().misses == len(moduli) > 0
-    assert moduli <= {2 ** i for i in range(1, 11)}
+    assert duality.char_table.cache_info().misses == len(moduli["T"] | moduli["R"])
+    assert moduli["T"] and moduli["T"] <= {2 ** i for i in range(1, 11)}
+    assert moduli["R"] and moduli["R"] <= {2 ** i for i in range(2, 12)}
 
 
 def _always_quasi_convex(a):
@@ -287,6 +325,37 @@ def test_an_error_inside_a_check_is_not_a_failure(monkeypatch):
     with pytest.raises(RuntimeError, match="^planted$"):
         run_all(["criterion-03"], stream=stream)
     assert stream.getvalue() == ""
+
+
+def _itertools_masks(bits, sizes):
+    """The construction _subset_masks replaced: one combinations index array per size."""
+    from itertools import combinations
+
+    import numpy as np
+
+    bits = np.array(bits, dtype=np.uint64)
+    chunks = []
+    for r in sizes:
+        combos = list(combinations(range(len(bits)), r))
+        idx = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+        chunks.append(np.bitwise_or.reduce(bits[idx], axis=1))
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("g", range(17))
+def test_subset_masks_match_the_itertools_construction(g):
+    """Every size in itertools order, 0..16 generators; with none, only the empty set is left."""
+    import numpy as np
+
+    from qcgroups.acceptance import _subset_masks, _symmetric_masks
+
+    n, gens = 64, list(range(1, g + 1))
+    pairs = [(1 << x) | (1 << (n - x)) for x in gens]
+    for sizes in ((1, 2, 3), range(g + 1)):
+        expected = _itertools_masks(pairs, sizes)
+        for got in (_subset_masks(pairs, sizes), _symmetric_masks(n, gens, sizes)):
+            assert got.dtype == np.uint64 and np.array_equal(got, expected)
+    assert _symmetric_masks(n, [], range(1)).tolist() == [0]
 
 
 def test_division_sets_follow_the_loop_order():

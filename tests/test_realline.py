@@ -294,6 +294,47 @@ def test_hull_keeps_zero_without_a_member_pass():
             assert hull_R(base) == _hull_with_a_member_pass_per_candidate(base), entries
 
 
+@pytest.mark.parametrize("points, modulus", [
+    ((F(1, 4), F(1, 2048)), 2048),
+    ((F(1, 3), F(1, 1024)), 3072),
+    ((0, F(1, 2), -F(1, 2), F(1, 2048), -F(1, 2048)), 4096),
+    ((F(1, 3), F(1, 2048)), 6144),
+    ((F(1, 1259), F(1, 1201)), 1512059),
+])
+def test_hull_on_both_sides_of_the_table_cap(monkeypatch, points, modulus):
+    """Grids up to 4096 take their candidates from the cached table, larger ones from hull()."""
+    base = S(*points)
+    alpha = scale_into_half(base)
+    assert ResidueSet.from_rationals([alpha * p for p in base.points]).modulus == modulus
+    real, tables = realline.table_hull, []
+
+    def recording(n, elems):
+        tables.append(n)
+        return real(n, elems)
+
+    monkeypatch.setattr(realline, "table_hull", recording)
+    assert hull_R(base) == _hull_with_a_member_pass_per_candidate(base)
+    assert tables == ([modulus] if modulus <= 4096 else [])
+
+
+@given(st.integers(1, 48), st.sets(st.integers(-150, 150), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_hull_matches_the_direct_form(den, nums):
+    """hull_R(S) = {j/D : |j| <= M*D, and j = 0 or polar_R(S).member(j/D).inside}.
+
+    D is the common denominator of S and M = max|S|.  Every y in D*Z is in
+    the polar, so k*D*z lies in T_+ for every k, and D*z is an integer.
+    This form shares none of scale_into_half, the push-down or the grid hull.
+    """
+    pts = {F(p, den) for p in nums}
+    D = lcm(*(p.denominator for p in pts))
+    MD = int(max(abs(p) for p in pts) * D)
+    assert 2 * MD + 1 <= 2000
+    polar = polar_R(S(*pts))
+    direct = {F(j, D) for j in range(-MD, MD + 1) if j == 0 or polar.member(F(j, D)).inside}
+    assert hull_R(S(*pts)) == direct
+
+
 def test_hull_members_all_accepted_and_probes_rejected():
     base = S(0, F(1, 2), -F(1, 2), F(1, 16), -F(1, 16))
     h = hull_R(base)

@@ -329,7 +329,7 @@ def criterion_10() -> str:
     return f"named chains plus {cases} patterned chains, T and R"
 
 
-def _subset_masks(bits: np.ndarray, sizes) -> np.ndarray:
+def _subset_masks(bits, sizes) -> np.ndarray:
     """OR of bits[i] over every combination of indices of size r, r in sizes, in itertools order.
 
     The size-(r+1) masks extend each size-r mask by every later index, so

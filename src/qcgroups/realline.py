@@ -19,10 +19,9 @@ by a power of two, push down to a grid in T, take the grid hull there
 (from the cached duality.table_hull for grids up to 4096, from the
 shrinking kernel past that), pull the finitely many candidates back and
 keep the ones the polar of S admits (one polar, built once, tests every
-candidate).  The scaling map
-is an automorphism of R and the projection is injective on the open
-window, so this candidate set provably contains the hull, and the member
-filter is exact.
+candidate).  The scaling map is an automorphism of R and the projection
+is injective on the open window, so this candidate set provably contains
+the hull, and the member filter is exact.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from .families import (DivisibleChain, GapSequence, Verdict, WitnessRecipe,
 from .padic import (PruferChar, compute_Jm, epsilon_forms, L3_truncate,
                     level_for, q12_set)
 from .realline import (HullMembership, PeriodicPolar, RealFiniteSet, hull_R,
-                       member_hull_R, polar_R, scale_into_half)
+                       member_hull_R, polar_R)
 from .witnesses import (ExclusionCertificate, TailBound, certificate_from_json,
                         exclusion_J3, exclusion_T3, shift_char_J3,
                         shift_char_T3, tail_bound_T3, verify_certificate)
@@ -32,7 +32,7 @@ __all__ = [
     "PruferChar", "compute_Jm", "epsilon_forms", "L3_truncate", "level_for",
     "q12_set",
     "HullMembership", "PeriodicPolar", "RealFiniteSet", "hull_R",
-    "member_hull_R", "polar_R", "scale_into_half",
+    "member_hull_R", "polar_R",
     "ExclusionCertificate", "TailBound", "certificate_from_json",
     "exclusion_J3", "exclusion_T3", "shift_char_J3", "shift_char_T3",
     "tail_bound_T3", "verify_certificate",

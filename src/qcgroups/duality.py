@@ -35,8 +35,7 @@ order, which HullReport.witnesses holds and the CLI writes in bulk; no
 per-point dict is built.  Single CLI calls use these kernels;
 sweeps that repeat one modulus read the cached char_table(n), n <= 4096,
 whose row k packs the points p with k*p/n in T_+: a polar is an AND of
-rows and table_hull a second AND.  realline.hull_R takes the grid hull
-there too, for grids up to 4096, since it reads no witnesses.  For n <= 64
+rows and table_hull a second AND.  For n <= 64
 a row is one uint64, and hull_masks / image_masks take the hulls and
 images of whole arrays of subsets, for a block of maps, in one gather per
 byte; image_masks maps into Z(m), so it also gives the quotients Z(n) -> Z(m).

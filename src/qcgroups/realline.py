@@ -14,14 +14,18 @@ M = v*L (z = u/v) the good shifts of each interval form one arc, so
 PeriodicPolar.member finds the first bad j in closed form, one pass per
 interval whatever N is; Fractions are built only for the witness.
 
-The full hull is recovered through the circle: scale S into (-1/2, 1/2)
-by a power of two, push down to a grid in T, take the grid hull there
-(from the cached duality.table_hull for grids up to 4096, from the
-shrinking kernel past that), pull the finitely many candidates back and
-keep the ones the polar of S admits (one polar, built once, tests every
-candidate).  The scaling map is an automorphism of R and the projection
-is injective on the open window, so this candidate set provably contains
-the hull, and the member filter is exact.
+The full hull is decided on integers, without leaving R.  Write S = P/D
+with P integers and g = gcd(P): S generates (g/D)Z, and every y in (D/g)Z
+is in the polar, so a hull point z has k*D*z/g in T_+ for every k.  The
+only subgroup of T inside T_+ is {0} and the hull lies in [-max|S|, max|S|],
+so z = j*g/D with |j| <= J = max|P|/g.  Its shifts k*D*z are integers,
+so z is in the hull iff [j*g*x, j*g*y] lies in one window
+[(4k-1)L/4, (4k+1)L/4] for every pair (x, y) of the polar.  hull_R tests
+j = 0..J against the pairs block by block, as duality.polar_residues does,
+in int64 while 4*(J+1)*g*L < 2^62 and in Python ints past that.  The
+candidates are the signed residues of Z(2J+1), bounded by MAX_MODULUS;
+2J+1 never exceeds the modulus N of the grid that holds a scaled copy
+a*S in T with a*max|S| < 1/2 (a*g/D = m/N with m >= 1, so 2J*m < N).
 """
 
 from __future__ import annotations
@@ -30,16 +34,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .circle import HALF, RationalIntervalUnion, render_rational, signed_residue
-from .duality import (_TABLE_MAX_MODULUS, ResidueSet, hull, in_t_plus,
-                      polar_sweep_pairs, table_hull)
-from .errors import InvalidInputError
+from .circle import RationalIntervalUnion, render_rational
+from .duality import _BLOCK, MAX_MODULUS, in_t_plus, polar_sweep_pairs
+from .errors import InvalidInputError, describe_int
 
 QUARTER = Fraction(1, 4)
 
@@ -58,13 +61,7 @@ class RealFiniteSet:
 
     @property
     def common_denominator(self) -> int:
-        d = 1
-        for p in self.points:
-            d = d * p.denominator // gcd(d, p.denominator)
-        return d
-
-    def max_abs(self) -> Fraction:
-        return max(abs(p) for p in self.points)
+        return lcm(*(p.denominator for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -184,34 +181,30 @@ def member_hull_R(S: RealFiniteSet, z: Fraction | int) -> HullMembership:
     return polar_R(S).member(z)
 
 
-def scale_into_half(S: RealFiniteSet) -> Fraction:
-    """Smallest power-of-two scale 2^-t with alpha * max|S| strictly below 1/2."""
-    m = S.max_abs()
-    alpha = Fraction(1)
-    while alpha * m >= HALF:
-        alpha /= 2
-    return alpha
-
-
 def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
-    """Q_R(S), exactly, as a finite set of rationals."""
-    alpha = scale_into_half(S)
-    scaled = [alpha * p for p in S.points]
-    M = S.max_abs()
-    grid = ResidueSet.from_rationals(scaled)
-    if grid.modulus <= _TABLE_MAX_MODULUS:     # the cached table; no witnesses are read
-        candidates = np.flatnonzero(table_hull(grid.modulus, grid.residues)).tolist()
-    else:                                   # rejects a grid too large before the sweep
-        candidates = hull(grid).hull
+    """Q_R(S), exactly, as a finite set of rationals: the z = +-j*g/D that pass every pair."""
+    D = S.common_denominator
+    P = [p.numerator * (D // p.denominator) for p in S.points]
+    g = gcd(*P) or 1                    # S generates (g/D)Z; S = {0} has J = 0 either way
+    J = max(map(abs, P)) // g
+    if 2 * J + 1 > MAX_MODULUS:
+        raise InvalidInputError(f"modulus {describe_int(2 * J + 1)} must lie in 1..{MAX_MODULUS}")
     polar = polar_R(S)
-    out = set()
-    for j in candidates:
-        z = Fraction(signed_residue(j, grid.modulus), grid.modulus) / alpha
-        if abs(z) > M:
-            continue
-        if z == 0 or polar.member(z).inside:     # every character maps 0 into T_+
-            out.add(z)
+    L = polar.L
+    dtype = np.int64 if 4 * (J + 1) * g * L < 1 << 62 else object
+    x, y = np.array(polar.pairs, dtype=dtype).T
+    lo, width = g * x, g * (y - x)
+    js = np.arange(J + 1, dtype=dtype)
+    i = 0
+    while i < len(lo):                  # js holds 0, so it never empties
+        w = max(1, _BLOCK // len(js))
+        # [j*lo, j*(lo + width)] lies in one window [(4k-1)L/4, (4k+1)L/4]:
+        # its offset past the window's start plus its width is at most L/2
+        offset = (np.outer(js, lo[i:i + w]) + L // 4) % L
+        js = js[(offset + np.outer(js, width[i:i + w]) <= L // 2).all(axis=1)]
+        i += w
+    out = frozenset(Fraction(s * g * j, D) for j in js.tolist() for s in (1, -1))
     missing = S.points - out
     if missing:
         raise RuntimeError(f"hull lost input points {sorted(missing)}; implementation bug")
-    return frozenset(out)
+    return out

@@ -250,26 +250,30 @@ def test_quotient_sweep_reports_the_first_failing_set(monkeypatch, min_points, d
 def test_criterion_09_builds_each_grid_table_once(monkeypatch):
     """char_table's cache holds every grid criterion-09 cycles through: one build per modulus.
 
-    The T side reads its grids through acceptance.table_hull, and hull_R its
-    candidates through realline.table_hull; the two sides share the tables.
+    The T side reads its grids through acceptance.table_hull; hull_R decides
+    its candidates on the polar's pairs and builds no table.
     """
     from qcgroups import duality, realline
 
-    moduli = {"T": set(), "R": set()}
+    moduli, hull_r_builds = set(), []
 
-    def recording(side, real):
-        def table_hull(n, elems):
-            moduli[side].add(n)
-            return real(n, elems)
-        return table_hull
+    def table_hull(n, elems):
+        moduli.add(n)
+        return duality.table_hull(n, elems)
 
-    monkeypatch.setattr(acceptance, "table_hull", recording("T", acceptance.table_hull))
-    monkeypatch.setattr(realline, "table_hull", recording("R", realline.table_hull))
+    def hull_R(S):
+        before = duality.char_table.cache_info().misses
+        out = realline.hull_R(S)
+        hull_r_builds.append(duality.char_table.cache_info().misses - before)
+        return out
+
+    monkeypatch.setattr(acceptance, "table_hull", table_hull)
+    monkeypatch.setattr(acceptance, "hull_R", hull_R)
     duality.char_table.cache_clear()
     assert run_one("criterion-09").passed
-    assert duality.char_table.cache_info().misses == len(moduli["T"] | moduli["R"])
-    assert moduli["T"] and moduli["T"] <= {2 ** i for i in range(1, 11)}
-    assert moduli["R"] and moduli["R"] <= {2 ** i for i in range(2, 12)}
+    assert duality.char_table.cache_info().misses == len(moduli)
+    assert moduli and moduli <= {2 ** i for i in range(1, 11)}
+    assert hull_r_builds and set(hull_r_builds) == {0}
 
 
 def _always_quasi_convex(a):

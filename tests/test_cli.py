@@ -18,6 +18,7 @@ from qcgroups.circle import parse_rational, render_point, signed_residue
 from qcgroups.cli import main
 from qcgroups.duality import ResidueSet, hull_residues
 from qcgroups.errors import InvalidInputError
+from qcgroups.realline import RealFiniteSet, polar_R
 from qcgroups.witnesses import SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -250,13 +251,29 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
 
 
 def test_hull_r_rejects_a_large_grid_before_the_sweep(capsys):
-    # the grid modulus 1000003 * 999983 is over the size bound; the polar sweep
-    # of the same set would take seconds before that was found
+    # the candidates are Z(2*1000003 + 1)'s signed residues, over the size
+    # bound; the polar sweep of the same set would take seconds before that was found
     t0 = time.perf_counter()
     code, out, err = run(capsys, "hull-r", "--set", "1/1000003,1/999983")
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
-    assert err == "error: modulus 999985999949 must lie in 1..1594323\n"
+    assert err == "error: modulus 2000007 must lie in 1..1594323\n"
+
+
+def test_hull_r_answers_past_the_old_grid_bound(capsys):
+    # its circle grid, 2003 * 2011 = 4028033, is past 3^13; its candidates,
+    # Z(2*2011 + 1), are not
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hull-r", "--set", "1/2003,1/2011")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    hull = {Fraction(z) for z in json.loads(out)["hull"]}
+    assert hull == {0, Fraction(1, 2003), Fraction(-1, 2003), Fraction(1, 2011), Fraction(-1, 2011)}
+    # the member oracle on the hull and on candidates around it
+    polar = polar_R(RealFiniteSet({Fraction(1, 2003), Fraction(1, 2011)}))
+    D = 2003 * 2011
+    for j in [*range(1, 40), *range(1980, 2030), *range(100, 2000, 97)]:
+        assert polar.member(Fraction(j, D)).inside == (Fraction(j, D) in hull), j
 
 
 # every form a --set token can take: plain integers and fractions (read as
@@ -533,7 +550,7 @@ def test_real_line_help_names_the_equals_form(capsys, command, options):
     (["hull-j3", "--level", "14", "--set", "1"], "3^14"),
     (["q12", "--family", "J3", "--seq", "0,2", "--level", "14"], "3^14"),
     (["q12", "--family", "T3", "--seq", "1,3", "--grid", "14"], "3^14"),
-    (["hull-r", "--set", "1/2003,1/2011"], "4028033"),      # the grid of its hull
+    (["hull-r", "--set", "1,1/797162"], "1594325"),      # candidates: Z(2*797162 + 1)
     (["hull-j3", "--level", "3000000", "--set", "1"], "3^3000000"),
     (["q12", "--family", "J3", "--seq", "0,2", "--level", "3000000"], "3^3000000"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)

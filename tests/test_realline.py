@@ -13,7 +13,7 @@ from qcgroups.errors import InvalidInputError
 from qcgroups.families import GapSequence, points_R2
 from qcgroups.realline import (QUARTER, HullMembership, RealFiniteSet,
                                _bad_point_in, _first_bad_shift, hull_R,
-                               member_hull_R, polar_R, scale_into_half)
+                               member_hull_R, polar_R)
 
 F = Fraction
 S = lambda *p: RealFiniteSet(p)
@@ -272,11 +272,25 @@ def test_hull_builds_one_polar(monkeypatch):
     assert calls == [grew]
 
 
+def _scale_into_half(base):
+    """Smallest power-of-two scale 2^-t with alpha * max|S| strictly below 1/2."""
+    m = max(map(abs, base.points))
+    alpha = F(1)
+    while alpha * m >= HALF:
+        alpha /= 2
+    return alpha
+
+
 def _hull_with_a_member_pass_per_candidate(base):
-    """hull_R's candidates, each kept only if polar.member accepts it, z = 0 included."""
-    alpha = scale_into_half(base)
+    """Q_R(S) through the circle: scale S into (-1/2, 1/2), take the hull of its grid
+    there, pull the candidates back and keep each that polar.member accepts, z = 0 included.
+
+    The scaling is an automorphism of R and the projection is injective on the
+    open window, so the candidates hold the hull, and the member filter is exact.
+    """
+    alpha = _scale_into_half(base)
     grid = ResidueSet.from_rationals([alpha * p for p in base.points])
-    polar, bound = polar_R(base), base.max_abs()
+    polar, bound = polar_R(base), max(map(abs, base.points))
     out = set()
     for j in hull(grid).hull:
         w = F(j, grid.modulus)
@@ -301,20 +315,36 @@ def test_hull_keeps_zero_without_a_member_pass():
     ((F(1, 3), F(1, 2048)), 6144),
     ((F(1, 1259), F(1, 1201)), 1512059),
 ])
-def test_hull_on_both_sides_of_the_table_cap(monkeypatch, points, modulus):
-    """Grids up to 4096 take their candidates from the cached table, larger ones from hull()."""
+def test_hull_on_both_sides_of_the_table_cap(points, modulus):
+    """Sets whose circle grids lie on both sides of char_table's cap, 4096, and far past it."""
     base = S(*points)
-    alpha = scale_into_half(base)
+    alpha = _scale_into_half(base)
     assert ResidueSet.from_rationals([alpha * p for p in base.points]).modulus == modulus
-    real, tables = realline.table_hull, []
-
-    def recording(n, elems):
-        tables.append(n)
-        return real(n, elems)
-
-    monkeypatch.setattr(realline, "table_hull", recording)
     assert hull_R(base) == _hull_with_a_member_pass_per_candidate(base)
-    assert tables == ([modulus] if modulus <= 4096 else [])
+
+
+@pytest.mark.parametrize("top, int64", [(40, True), (43, False)])
+def test_hull_on_both_sides_of_the_int64_bound(top, int64):
+    """{1..40} runs in int64 and {1..43} in Python ints; both equal the member oracle.
+
+    hull_R takes int64 while 4*(J+1)*g*L < 2^62 = 4.6e18; here g = 1, J = top
+    and L = 4*lcm(1..top), so the bound reads 3.5e18 for 40 and 6.6e21 for 43.
+    """
+    base = S(*range(1, top + 1))
+    polar = polar_R(base)
+    assert (4 * (top + 1) * polar.L < 2 ** 62) == int64
+    assert 4 * (top + 1) * polar.L == {40: 3504963035833459200,
+                                       43: 6631390063796904806400}[top]
+    oracle = {F(z) for z in range(-top, top + 1) if z == 0 or polar.member(F(z)).inside}
+    assert hull_R(base) == oracle
+
+
+@pytest.mark.parametrize("points", [(1, F(1, 797162)), (2, 1594324), (F(-3, 7), F(2391486, 7))])
+def test_hull_rejects_past_the_bound_before_the_polar(monkeypatch, points):
+    """2J+1 = 1594325 candidates, J = max|S|/q for the group qZ that S generates."""
+    monkeypatch.setattr(realline, "polar_R", lambda S: pytest.fail("polar built"))
+    with pytest.raises(InvalidInputError, match=r"^modulus 1594325 must lie in 1\.\.1594323$"):
+        hull_R(S(*points))
 
 
 @given(st.integers(1, 48), st.sets(st.integers(-150, 150), min_size=1, max_size=4))
@@ -324,7 +354,8 @@ def test_hull_matches_the_direct_form(den, nums):
 
     D is the common denominator of S and M = max|S|.  Every y in D*Z is in
     the polar, so k*D*z lies in T_+ for every k, and D*z is an integer.
-    This form shares none of scale_into_half, the push-down or the grid hull.
+    This form tests every candidate of (1/D)Z with member, shift by shift,
+    where hull_R tests those of the group S generates against one period.
     """
     pts = {F(p, den) for p in nums}
     D = lcm(*(p.denominator for p in pts))
@@ -356,20 +387,13 @@ def test_projection_agreement_with_circle():
 
 def test_pushforward_into_the_circle():
     base = S(0, F(1, 2), -F(1, 2), F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
-    alpha = scale_into_half(base)
+    alpha = _scale_into_half(base)
     scaled = ResidueSet.from_rationals([alpha * p for p in base.points])
     hull_circle = hull(scaled).hull
     for z in hull_R(base):
         w = alpha * z
         res = (w.numerator * (scaled.modulus // w.denominator)) % scaled.modulus
         assert res in hull_circle
-
-
-def test_scale_into_half_examples():
-    assert scale_into_half(S(F(1, 4))) == 1
-    assert scale_into_half(S(F(1, 2))) == F(1, 2)
-    assert scale_into_half(S(3)) == F(1, 8)
-    assert scale_into_half(S(0)) == 1
 
 
 def test_r2_family_with_negative_entries():

@@ -15,17 +15,21 @@ PeriodicPolar.member finds the first bad j in closed form, one pass per
 interval whatever N is; Fractions are built only for the witness.
 
 The full hull is decided on integers, without leaving R.  Write S = P/D
-with P integers and g = gcd(P): S generates (g/D)Z, and every y in (D/g)Z
-is in the polar, so a hull point z has k*D*z/g in T_+ for every k.  The
-only subgroup of T inside T_+ is {0} and the hull lies in [-max|S|, max|S|],
-so z = j*g/D with |j| <= J = max|P|/g.  Its shifts k*D*z are integers,
-so z is in the hull iff [j*g*x, j*g*y] lies in one window
-[(4k-1)L/4, (4k+1)L/4] for every pair (x, y) of the polar.  hull_R tests
+with P integers and g = gcd(P): S generates qZ, q = g/D, and S = q*Q
+with Q = P/g integers of gcd 1.  Multiplying by q is an automorphism of
+R, so hull_R(S) = q*hull_R(Q), and the rest runs on Q alone.  Q generates
+Z and every y in Z is in its polar, so a hull point z has k*z in T_+ for
+every k.  The only subgroup of T inside T_+ is {0} and the hull lies in
+[-J, J], J = max|Q|, so z = j is an integer with |j| <= J.  Its shifts k*z
+are integers, so j is in the hull iff [j*x, j*y] lies in one window
+[(4k-1)L/4, (4k+1)L/4] for every pair (x, y) of Q's polar.  hull_R tests
 j = 0..J against the pairs block by block, as duality.polar_residues does,
-in int64 while 4*(J+1)*g*L < 2^62 and in Python ints past that.  The
-candidates are the signed residues of Z(2J+1), bounded by MAX_MODULUS;
-2J+1 never exceeds the modulus N of the grid that holds a scaled copy
-a*S in T with a*max|S| < 1/2 (a*g/D = m/N with m >= 1, so 2J*m < N).
+in int64 while 4*(J+1)*L < 2^62 and in Python ints past that.  The
+candidates are the signed residues of Z(2J+1), bounded by MAX_MODULUS
+before the polar is built; the sweep's characters are |Q| <= J, so the
+same bound holds the sweep to at most J+1 pieces per character.  2J+1
+never exceeds the modulus N of the grid that holds a scaled copy a*S in
+T with a*max|S| < 1/2 (a*q = m/N with m >= 1, so 2J*m < N).
 """
 
 from __future__ import annotations
@@ -182,25 +186,26 @@ def member_hull_R(S: RealFiniteSet, z: Fraction | int) -> HullMembership:
 
 
 def hull_R(S: RealFiniteSet) -> frozenset[Fraction]:
-    """Q_R(S), exactly, as a finite set of rationals: the z = +-j*g/D that pass every pair."""
+    """Q_R(S), exactly, as a finite set of rationals: q times the j that pass every pair of S/q."""
     D = S.common_denominator
     P = [p.numerator * (D // p.denominator) for p in S.points]
-    g = gcd(*P) or 1                    # S generates (g/D)Z; S = {0} has J = 0 either way
-    J = max(map(abs, P)) // g
+    g = gcd(*P) or 1                    # S generates qZ, q = g/D; S = {0} has J = 0 either way
+    Q = [p // g for p in P]
+    J = max(map(abs, Q))
     if 2 * J + 1 > MAX_MODULUS:
         raise InvalidInputError(f"modulus {describe_int(2 * J + 1)} must lie in 1..{MAX_MODULUS}")
-    polar = polar_R(S)
+    polar = polar_R(RealFiniteSet(Q))   # period 1, characters |Q| <= J
     L = polar.L
-    dtype = np.int64 if 4 * (J + 1) * g * L < 1 << 62 else object
+    dtype = np.int64 if 4 * (J + 1) * L < 1 << 62 else object
     x, y = np.array(polar.pairs, dtype=dtype).T
-    lo, width = g * x, g * (y - x)
+    width = y - x
     js = np.arange(J + 1, dtype=dtype)
     i = 0
-    while i < len(lo):                  # js holds 0, so it never empties
+    while i < len(x):                   # js holds 0, so it never empties
         w = max(1, _BLOCK // len(js))
-        # [j*lo, j*(lo + width)] lies in one window [(4k-1)L/4, (4k+1)L/4]:
+        # [j*x, j*y] lies in one window [(4k-1)L/4, (4k+1)L/4]:
         # its offset past the window's start plus its width is at most L/2
-        offset = (np.outer(js, lo[i:i + w]) + L // 4) % L
+        offset = (np.outer(js, x[i:i + w]) + L // 4) % L
         js = js[(offset + np.outer(js, width[i:i + w]) <= L // 2).all(axis=1)]
         i += w
     out = frozenset(Fraction(s * g * j, D) for j in js.tolist() for s in (1, -1))

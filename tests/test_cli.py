@@ -276,6 +276,17 @@ def test_hull_r_answers_past_the_old_grid_bound(capsys):
         assert polar.member(Fraction(j, D)).inside == (Fraction(j, D) in hull), j
 
 
+@pytest.mark.parametrize("points", [(10 ** 9,), (2 * 10 ** 12, 3 * 10 ** 12)])
+def test_hull_r_sweeps_the_set_over_the_group_it_generates(capsys, points):
+    # S = q*Q with q the generator of the group S generates: the polar is
+    # swept on Q = {1} or {2, 3}, never on 10^9 or 10^12 pieces
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hull-r", "--set", ",".join(map(str, points)))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    assert {Fraction(z) for z in json.loads(out)["hull"]} == {0, *points, *(-p for p in points)}
+
+
 # every form a --set token can take: plain integers and fractions (read as
 # ints), and forms only Fraction reads or rejects
 GRID_TOKENS = ["+3/6", "-0", "1/0", "1/ 2", "1.5", "1e-3", "1_000", "\u0663/4", "9" * 5000,

@@ -269,7 +269,7 @@ def test_hull_builds_one_polar(monkeypatch):
     monkeypatch.setattr(realline, "polar_R", counting)
     grew = S(0, F(1, 2), -F(1, 2), F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
     assert hull_R(grew) == grew.points | {F(5, 16), F(-5, 16)}
-    assert calls == [grew]
+    assert calls == [S(*(16 * p for p in grew.points))]     # grew generates (1/16)Z
 
 
 def _scale_into_half(base):
@@ -327,8 +327,9 @@ def test_hull_on_both_sides_of_the_table_cap(points, modulus):
 def test_hull_on_both_sides_of_the_int64_bound(top, int64):
     """{1..40} runs in int64 and {1..43} in Python ints; both equal the member oracle.
 
-    hull_R takes int64 while 4*(J+1)*g*L < 2^62 = 4.6e18; here g = 1, J = top
-    and L = 4*lcm(1..top), so the bound reads 3.5e18 for 40 and 6.6e21 for 43.
+    hull_R takes int64 while 4*(J+1)*L < 2^62 = 4.6e18; here S generates Z,
+    so J = top and L = 4*lcm(1..top), and the bound reads 3.5e18 for 40 and
+    6.6e21 for 43.
     """
     base = S(*range(1, top + 1))
     polar = polar_R(base)
@@ -345,6 +346,24 @@ def test_hull_rejects_past_the_bound_before_the_polar(monkeypatch, points):
     monkeypatch.setattr(realline, "polar_R", lambda S: pytest.fail("polar built"))
     with pytest.raises(InvalidInputError, match=r"^modulus 1594325 must lie in 1\.\.1594323$"):
         hull_R(S(*points))
+
+
+def test_hull_sweeps_the_polar_of_the_set_over_its_group(monkeypatch):
+    """S = q*Q for the group qZ that S generates; the polar is swept on Q only."""
+    swept = []
+    monkeypatch.setattr(realline, "polar_R", lambda T: swept.append(T) or polar_R(T))
+    assert hull_R(S(10 ** 9)) == {0, 10 ** 9, -10 ** 9}
+    assert hull_R(S(F(6, 35), F(-9, 35))) == {F(3 * j, 35) for j in (0, 2, -2, 3, -3)}
+    assert swept == [S(1), S(2, -3)]
+
+
+@given(st.sets(st.integers(-60, 60), min_size=1, max_size=4),
+       st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+@settings(max_examples=40, deadline=None)
+def test_hull_commutes_with_scaling(nums, a, b):
+    """x -> (a/b)*x is an automorphism of R, so hull_R(a/b * S) = a/b * hull_R(S)."""
+    q = F(a, b)
+    assert hull_R(S(*(q * n for n in nums))) == {q * z for z in hull_R(S(*nums))}
 
 
 @given(st.integers(1, 48), st.sets(st.integers(-150, 150), min_size=1, max_size=4))

@@ -259,6 +259,7 @@ def test_hull_examples():
 
 
 def test_hull_builds_one_polar(monkeypatch):
+    """One polar, swept on S/q for the group qZ that S generates."""
     calls = []
     real = realline.polar_R
 
@@ -270,6 +271,10 @@ def test_hull_builds_one_polar(monkeypatch):
     grew = S(0, F(1, 2), -F(1, 2), F(1, 4), -F(1, 4), F(1, 16), -F(1, 16))
     assert hull_R(grew) == grew.points | {F(5, 16), F(-5, 16)}
     assert calls == [S(*(16 * p for p in grew.points))]     # grew generates (1/16)Z
+    calls.clear()
+    assert hull_R(S(10 ** 9)) == {0, 10 ** 9, -10 ** 9}
+    assert hull_R(S(F(6, 35), F(-9, 35))) == {F(3 * j, 35) for j in (0, 2, -2, 3, -3)}
+    assert calls == [S(1), S(2, -3)]
 
 
 def _scale_into_half(base):
@@ -346,15 +351,6 @@ def test_hull_rejects_past_the_bound_before_the_polar(monkeypatch, points):
     monkeypatch.setattr(realline, "polar_R", lambda S: pytest.fail("polar built"))
     with pytest.raises(InvalidInputError, match=r"^modulus 1594325 must lie in 1\.\.1594323$"):
         hull_R(S(*points))
-
-
-def test_hull_sweeps_the_polar_of_the_set_over_its_group(monkeypatch):
-    """S = q*Q for the group qZ that S generates; the polar is swept on Q only."""
-    swept = []
-    monkeypatch.setattr(realline, "polar_R", lambda T: swept.append(T) or polar_R(T))
-    assert hull_R(S(10 ** 9)) == {0, 10 ** 9, -10 ** 9}
-    assert hull_R(S(F(6, 35), F(-9, 35))) == {F(3 * j, 35) for j in (0, 2, -2, 3, -3)}
-    assert swept == [S(1), S(2, -3)]
 
 
 @given(st.sets(st.integers(-60, 60), min_size=1, max_size=4),

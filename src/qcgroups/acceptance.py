@@ -372,10 +372,8 @@ def criterion_11() -> str:
         for lo in range(0, n, 16):          # 16 maps at a time, to bound peak memory
             ks = range(lo, min(lo + 16, n))
             img = image_masks(n, sets, ks)
-            uniq, inv = np.unique(img, return_inverse=True)     # one hull per distinct image
-            hull_img = hull_masks(n, uniq)[inv.reshape(img.shape)]
             mapped = image_masks(n, hull_e, ks)
-            failed += [(s, ks[i]) for s, i in np.argwhere(mapped & ~hull_img)[:1]]
+            failed += [(s, ks[i]) for s, i in np.argwhere(mapped & ~hull_masks(n, img))[:1]]
             checked += img.size
         if failed:
             s, k = min(failed)              # the first failing set, then its first k

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Iterable
 
 import numpy as np
@@ -187,52 +187,82 @@ def table_hull(n: int, elems: Iterable[int]) -> np.ndarray:
 _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
-def _byte_tables(op, identity, rows: np.ndarray) -> np.ndarray:
-    """tables[b, v]: op over rows[8b + i] for the set bits i of v; rows' map axis stays last."""
-    rows8 = np.full(((len(rows) + 7) // 8 * 8,) + rows.shape[1:], identity, dtype=np.uint64)
-    rows8[:len(rows)] = rows
-    t = np.empty((len(rows8) // 8, 256) + rows.shape[1:], dtype=np.uint64)
+def _byte_tables(op, identity, rows: np.ndarray, bits: int) -> np.ndarray:
+    """tables[c, v]: op over rows[bits*c + i] for the set bits i of v; rows' map axis stays last."""
+    padded = np.full((-(-len(rows) // bits) * bits,) + rows.shape[1:], identity, dtype=np.uint64)
+    padded[:len(rows)] = rows
+    t = np.empty((len(padded) // bits, 1 << bits) + rows.shape[1:], dtype=np.uint64)
     t[:, 0] = identity
-    for i in range(8):                  # values below 2^i, then with bit i set
-        op(t[:, :1 << i], rows8[i::8, None], out=t[:, 1 << i:2 << i])
+    for i in range(bits):               # values below 2^i, then with bit i set
+        op(t[:, :1 << i], padded[i::bits, None], out=t[:, 1 << i:2 << i])
     return t
 
 
 def _gather(op, tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """op over the table entries of every byte of every mask, one gather per byte."""
-    mask_bytes = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
-    out = tables[0][mask_bytes[..., 0::8]]      # byte 0 of every mask, no copy
-    for b in range(1, len(tables)):
-        op(out, tables[b][mask_bytes[..., b::8]], out=out)
-    return out
+    """op over the table entries of every chunk of every mask: one take per chunk, in blocks.
+
+    A chunk is as wide as the tables have index bits: 8 or 16.  A block
+    makes about _BLOCK table lookups, so take's intp copy of a chunk's
+    indices and the temporary it fills stay small.
+    """
+    per_mask = 64 // (tables.shape[1].bit_length() - 1)        # chunks in one uint64
+    chunks = (np.ascontiguousarray(masks, dtype="<u8").reshape(-1)
+              .view(f"<u{8 // per_mask}").reshape(-1, per_mask))
+    out = np.empty((len(chunks),) + tables.shape[2:], dtype=np.uint64)
+    step = max(1, _BLOCK // (per_mask * max(1, prod(tables.shape[2:]))))
+    tmp = np.empty((min(step, len(out)),) + tables.shape[2:], dtype=np.uint64)
+    for s in range(0, len(out), step):
+        block, o = chunks[s:s + step], out[s:s + step]
+        # every index is in range; mode "raise" would buffer a copy of out
+        tables[0].take(block[:, 0], axis=0, out=o, mode="clip")
+        for c in range(1, len(tables)):
+            op(o, tables[c].take(block[:, c], axis=0, out=tmp[:len(o)], mode="clip"), out=o)
+    return out.reshape(masks.shape + tables.shape[2:])
+
+
+@lru_cache(maxsize=1)       # every caller sweeps one modulus at a time
+def _hull_tables(n: int) -> np.ndarray:
+    """Read-only 16-bit AND tables of char_table(n)'s rows, n <= 64: at most 4 x 65536 uint64."""
+    T = char_table(n)
+    rows = np.zeros((n, 8), dtype=np.uint8)                 # one uint64 per row
+    rows[:, :T.shape[1]] = T
+    tables = _byte_tables(np.bitwise_and, _ALL_BITS, rows.view("<u8").ravel(), 16)
+    tables.flags.writeable = False
+    return tables
 
 
 def hull_masks(n: int, masks: np.ndarray) -> np.ndarray:
     """Hull of every subset of Z(n) in a uint64 array (bit j = residue j), n <= 64.
 
-    The pairing k*j/n is symmetric, so the hull is the polar of the polar.
-    The empty mask has every character in its polar and {0} as its hull.
+    The pairing k*j/n is symmetric, so the hull is the polar of the polar,
+    two gathers through the cached 16-bit tables _hull_tables(n), one
+    _gather block at a time, so no polar of the whole array is held.  The
+    empty mask has every character in its polar and {0} as its hull.
     """
     _checked_modulus(n, 64)
-    T = char_table(n)
-    rows = np.zeros((n, 8), dtype=np.uint8)                 # one uint64 per row
-    rows[:, :T.shape[1]] = T
-    tables = _byte_tables(np.bitwise_and, _ALL_BITS, rows.view("<u8").ravel())
-    return _gather(np.bitwise_and, tables, _gather(np.bitwise_and, tables, masks))
+    tables = _hull_tables(n)
+    flat = np.ascontiguousarray(masks, dtype=np.uint64).reshape(-1)
+    out = np.empty_like(flat)
+    step = _BLOCK // 4                  # 4 chunks per mask: one _gather block
+    for s in range(0, len(flat), step):
+        out[s:s + step] = _gather(np.bitwise_and, tables,
+                                  _gather(np.bitwise_and, tables, flat[s:s + step]))
+    return out.reshape(masks.shape)
 
 
 def image_masks(n: int, masks: np.ndarray, ks: Iterable[int], m: int | None = None) -> np.ndarray:
     """k*E for every subset E of Z(n) in a uint64 array, a trailing column per k in ks; n <= 64.
 
     The image lies in Z(m), j -> k*j mod m (m defaults to n; m <= 64); with
-    k = 1 and m | n it is the quotient Z(n) -> Z(m).
+    k = 1 and m | n it is the quotient Z(n) -> Z(m).  Its tables are 8-bit
+    and built per call: with the map axis, 16-bit ones would take 2 MiB per map.
     """
     _checked_modulus(n, 64)
     m = n if m is None else m
     _checked_modulus(m, 64)
     ks = np.fromiter(ks, dtype=np.int64)
     rows = np.uint64(1) << (np.outer(np.arange(n, dtype=np.int64), ks) % m).astype(np.uint64)
-    return _gather(np.bitwise_or, _byte_tables(np.bitwise_or, np.uint64(0), rows), masks)
+    return _gather(np.bitwise_or, _byte_tables(np.bitwise_or, np.uint64(0), rows, 8), masks)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,11 @@ sweeps that repeat one modulus read the cached char_table(n), n <= 4096,
 whose row k packs the points p with k*p/n in T_+: a polar is an AND of
 rows and table_hull a second AND.  For n <= 64
 a row is one uint64, and hull_masks / image_masks take the hulls and
-images of whole arrays of subsets, for a block of maps, in one gather per
-byte; image_masks maps into Z(m), so it also gives the quotients Z(n) -> Z(m).
+images of whole arrays of subsets, for a block of maps, with one
+ndarray.take per 16-bit (hull) or 8-bit (image) chunk of the masks, in
+blocks of about _BLOCK table lookups; the hull's 16-bit tables are cached
+per modulus.  image_masks maps into Z(m), so it also gives the quotients
+Z(n) -> Z(m).
 check_two_x_equivalence(n) answers the four-way equivalence around
 2x in Q({x, 3x}) for every x in Z(n) at once: (i) from char_table(n) rows,
 (ii)-(iv) from one boolean trace matrix, row x holding {k*x mod n}.
@@ -63,7 +66,7 @@ from .errors import InvalidInputError, describe_int
 
 MAX_MODULUS = 3 ** 13           # the largest modulus any call accepts
 _TABLE_MAX_MODULUS = 4096       # char_table holds n*n/8 bytes: 2 MiB at the cap
-_BLOCK = 1 << 16                # cells per kernel step: survivors x next elements
+_BLOCK = 1 << 16                # cells per kernel step: survivors x next elements, or mask lookups
 
 
 def in_t_plus(r, n):

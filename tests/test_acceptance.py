@@ -132,45 +132,19 @@ def test_jobs_clamped(monkeypatch, jobs, wanted, cpus, workers):
     assert [r.ident for r in results] == wanted and all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("n, k, j, detail11, detail12", [
-    (12, 2, 6, "multiplication failed: n=12, E=(2,), k=2",
-     "(a) fails: n=12, m=1, k=2, gens=(2,)"),
-    (16, 3, 8, "multiplication failed: n=16, E=(2, 8), k=3",
-     "(a) fails: n=16, m=1, k=2, gens=(2, 3, 4)"),
-])
-def test_sweeps_catch_one_wrong_pairing(monkeypatch, n, k, j, detail11, detail12):
-    """Flip the pairing of k and j in Z(n) inside the batched kernel's table."""
-    import numpy as np
-
+def _clear_table_caches():
+    """Drop every cached table built from the pairing: char_table's and _hull_tables'."""
     from qcgroups import duality
 
-    real = duality.in_t_plus
-
-    def corrupted(r, modulus):
-        ok = real(r, modulus)
-        if modulus == n and np.ndim(ok) == 2:
-            ok = ok.copy()
-            ok[k, j] = ok[j, k] = not ok[k, j]
-        return ok
-
-    # char_table caches its tables: build them afresh from the corrupted
-    # pairing, and drop them afterwards so no later test reads one
     duality.char_table.cache_clear()
-    monkeypatch.setattr(duality, "in_t_plus", corrupted)
-    try:
-        r11, r12 = run_one("criterion-11"), run_one("criterion-12")
-    finally:
-        duality.char_table.cache_clear()
-    assert (r11.passed, r11.detail) == (False, detail11)
-    assert (r12.passed, r12.detail) == (False, detail12)
+    duality._hull_tables.cache_clear()
 
 
-@pytest.mark.parametrize("n, k, j, x", [(9, 1, 3, 1), (27, 2, 5, 2)])
-def test_two_x_sweep_catches_one_wrong_pairing(monkeypatch, n, k, j, x):
-    """Flip the pairing of k and j in Z(n): criterion-02 names the first (n, x) and its rows.
+def _with_one_wrong_pairing(monkeypatch, n, k, j, run):
+    """Flip the pairing of k and j in Z(n), then return run().
 
-    The flip drops 2x from the hull of {x, 3x}, so (i) alone turns False;
-    the (n, x) named is the one the per-x sweep named before it read whole columns.
+    The cached tables are built afresh from the corrupted pairing, and
+    dropped afterwards so no later test reads one.
     """
     import numpy as np
 
@@ -185,12 +159,60 @@ def test_two_x_sweep_catches_one_wrong_pairing(monkeypatch, n, k, j, x):
             ok[k, j] = ok[j, k] = not ok[k, j]
         return ok
 
-    duality.char_table.cache_clear()
+    _clear_table_caches()
     monkeypatch.setattr(duality, "in_t_plus", corrupted)
     try:
-        r = run_one("criterion-02")
+        return run()
     finally:
-        duality.char_table.cache_clear()
+        _clear_table_caches()
+
+
+_WRONG_PAIRINGS = [
+    (12, 2, 6, "multiplication failed: n=12, E=(2,), k=2",
+     "(a) fails: n=12, m=1, k=2, gens=(2,)"),
+    (16, 3, 8, "multiplication failed: n=16, E=(2, 8), k=3",
+     "(a) fails: n=16, m=1, k=2, gens=(2, 3, 4)"),
+]
+
+
+@pytest.mark.parametrize("n, k, j, detail11, detail12", _WRONG_PAIRINGS)
+def test_sweeps_catch_one_wrong_pairing(monkeypatch, n, k, j, detail11, detail12):
+    """Flip the pairing of k and j in Z(n) inside the batched kernel's table."""
+    r11, r12 = _with_one_wrong_pairing(
+        monkeypatch, n, k, j, lambda: (run_one("criterion-11"), run_one("criterion-12")))
+    assert (r11.passed, r11.detail) == (False, detail11)
+    assert (r12.passed, r12.detail) == (False, detail12)
+
+
+def test_wrong_pairing_reaches_warm_hull_tables(monkeypatch):
+    """hull_masks caches the tables of the modulus it saw last.  Warm them
+    at n = 12, then plant (12, 2, 6): hull_masks(12) reads the planted
+    pairing, and both sweeps fail with the same details."""
+    import numpy as np
+
+    from qcgroups.duality import hull_masks
+
+    n, k, j, detail11, detail12 = _WRONG_PAIRINGS[0]
+    pair = np.array([(1 << k) | (1 << (n - k))], dtype=np.uint64)      # {+-2}
+    clean = hull_masks(n, pair)
+    planted, r11, r12 = _with_one_wrong_pairing(
+        monkeypatch, n, k, j,
+        lambda: (hull_masks(n, pair), run_one("criterion-11"), run_one("criterion-12")))
+    assert not np.array_equal(planted, clean)
+    assert (r11.passed, r11.detail) == (False, detail11)
+    assert (r12.passed, r12.detail) == (False, detail12)
+    monkeypatch.undo()
+    assert np.array_equal(hull_masks(n, pair), clean)       # nothing planted is left cached
+
+
+@pytest.mark.parametrize("n, k, j, x", [(9, 1, 3, 1), (27, 2, 5, 2)])
+def test_two_x_sweep_catches_one_wrong_pairing(monkeypatch, n, k, j, x):
+    """Flip the pairing of k and j in Z(n): criterion-02 names the first (n, x) and its rows.
+
+    The flip drops 2x from the hull of {x, 3x}, so (i) alone turns False;
+    the (n, x) named is the one the per-x sweep named before it read whole columns.
+    """
+    r = _with_one_wrong_pairing(monkeypatch, n, k, j, lambda: run_one("criterion-02"))
     assert (r.passed, r.detail) == (
         False, f"disagreement at n={n}, x={x}: (i)-(iv) = (False, True, True, True)")
 

@@ -250,6 +250,51 @@ def test_image_masks_column_by_column(n):
     assert hull_masks(n, np.zeros(3, dtype=np.uint64)).tolist() == [1, 1, 1]
 
 
+def _block_edges(length, step):
+    """The rows on both sides of every edge between blocks of step rows."""
+    return {r for s in range(step, length, step) for r in (s - 1, s)}
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 17, 63, 64])
+def test_mask_kernels_across_block_edges(n):
+    """More than 2^16 masks, so every gather runs several blocks.
+
+    n = 1, 7, 17, 63: the last 16-bit chunk of the hull tables is partly
+    padding.  The rows at every block edge, and a seeded sample, are
+    checked against hull_residues and {k*j % n}; the whole arrays against
+    the same kernels run on slices that fit in one block.
+    """
+    from qcgroups.duality import _BLOCK
+
+    rng = np.random.default_rng(n)
+    length = 2 ** 16 + 3 * 2 ** 12 + 5
+    full = np.uint64((1 << n) - 1)
+    dense = rng.integers(0, 2 ** 64, length, dtype=np.uint64, endpoint=False) & full
+    sparse = np.bitwise_or.reduce(np.uint64(1) << rng.integers(0, n, (length, 3)).astype(np.uint64),
+                                  axis=1)
+    masks = np.where(rng.random(length) < 0.5, dense, sparse)
+    masks[masks == 0] = 1
+    ks = [0, 1, 2, n + 3]
+    hulls = hull_masks(n, masks)
+    images = image_masks(n, masks, ks)
+    image_hulls = hull_masks(n, images)             # 2-D: a trailing map axis
+    assert hulls.shape == masks.shape and images.shape == image_hulls.shape == (length, len(ks))
+    # hull_masks takes _BLOCK // 4 masks per block, image_masks _BLOCK // (8 * len(ks))
+    rows = (_block_edges(length, _BLOCK // 4) | _block_edges(length, _BLOCK // (8 * len(ks)))
+            | {r // len(ks) for r in _block_edges(length * len(ks), _BLOCK // 4)}
+            | {0, length - 1} | set(rng.integers(0, length, 40).tolist()))
+    for r in sorted(rows):
+        elems = _bits(masks[r], n)
+        assert _bits(hulls[r], n) == hull_residues(n, elems)[0], (n, r)
+        for k, img, img_hull in zip(ks, images[r], image_hulls[r]):
+            assert _bits(img, n) == {k * j % n for j in elems}, (n, r, k)
+            assert _bits(img_hull, n) == hull_residues(n, _bits(img, n))[0], (n, r, k)
+    small = range(0, length, 1000)                  # every slice within one block
+    assert np.array_equal(hulls, np.concatenate([hull_masks(n, masks[s:s + 1000]) for s in small]))
+    assert np.array_equal(images, np.concatenate([image_masks(n, masks[s:s + 1000], ks)
+                                                  for s in small]))
+
+
 def test_char_table_rows_match_the_outer_product():
     # n <= 64: the uint64 rows hull_masks used to build itself
     for n in range(1, 65):

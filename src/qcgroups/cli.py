@@ -9,13 +9,14 @@ failed, 2 invalid input.
 The JSON is exactly json.dumps(payload, sort_keys=True, indent=2), written
 by _write: all-int or all-str lists in one join each, other scalars
 through the compact (C) encoder.  _emit_hull, the one writer of hull-t,
-hull-zn and hull-j3, renders points in bulk from the kernel's int64
-arrays (circle.render_points, signed_residues, _residues) and hands the
-witnesses to _write as _Members: one '"point": k' string per excluded
-point, sorted as strings, which is sort_keys order.  No witness dict is
-built.  Grid sets are read as integer (num, den) pairs; only tokens that
-are not plain "p" or "p/q" go through Fraction.  One argparse tree,
-built by the first main call, serves every later call in the process.
+hull-zn and hull-j3, writes the witnesses as bytes built in numpy: the
+excluded points come as int64 (num, den) pairs, one int64 key per point
+gives sort_keys order, and the rows are rendered from 4-digit ASCII word
+tables, a block at a time (_witness_block); _write inserts the block as
+it is.  No witness dict and no per-point str is built.  Grid sets are
+read as integer (num, den) pairs; only tokens that are not plain "p" or
+"p/q" go through Fraction.  One argparse tree, built by the first main
+call, serves every later call in the process.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from . import acceptance
-from .circle import parse_rational, render_points, render_rational, signed_residues
+from .circle import (parse_rational, point_pairs, render_points, render_rational,
+                     signed_array, signed_residues)
 from .duality import ResidueSet, check_power, hull, polar
 from .errors import InvalidInputError, quote_input, too_long_to_print
 from .families import (DivisibleChain, GapSequence, necessary_report_R,
@@ -52,21 +57,19 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode          # compact, so CPython's C encoder
 
 
-class _Members(list):
-    """The '"key": value' members of a JSON object, rendered and in sort_keys order."""
+class _JSON(str):
+    """JSON text already written at its place in the document."""
 
 
 def _write(node, indent: str) -> str:
     """node as json.dumps(node, sort_keys=True, indent=2) writes it at this indent.
 
-    _Members are joined as they are, all-int and all-str lists in one join;
+    _JSON text is inserted as it is, all-int and all-str lists in one join;
     a dict with a non-str key is left to json.dumps itself.
     """
     inner = indent + "  "
-    if isinstance(node, _Members):
-        if not node:
-            return "{}"
-        return "{\n" + inner + (",\n" + inner).join(node) + "\n" + indent + "}"
+    if isinstance(node, _JSON):
+        return node
     if isinstance(node, dict):
         if not node:
             return "{}"
@@ -93,6 +96,100 @@ def _dumps(payload: dict) -> str:
         return _write(payload, "")
     except ValueError as exc:
         raise too_long_to_print(_largest_int(payload)) from exc
+
+
+_PAD = np.array([0] + [10 ** (7 - w) for w in range(1, 8)])      # by width: a as 7 digits
+
+
+def _sort_key(a: np.ndarray) -> np.ndarray:
+    """Integers in [0, 10^7) in the order of their decimal strings, each closed by a
+    character below the digits: a padded to 7 digits, then the shorter (prefix) first."""
+    width = np.ones_like(a)
+    for ten in (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
+        width += a >= ten
+    return a * _PAD.take(width) * 8 + width
+
+
+@lru_cache(maxsize=1)
+def _digit_words() -> np.ndarray:
+    """uint32 words of 4 ASCII bytes: entry x < 10^4 holds x right-aligned after
+    NUL bytes (42 as NUL NUL "42", 0 as NUL NUL NUL "0"), entry 10^4 + x holds
+    x padded with zeros ("0042")."""
+    d = (np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    lead = d.cumsum(axis=1) == 0
+    lead[:, 3] = False
+    digits = d + ord("0")
+    return np.concatenate([np.where(lead, 0, digits), digits]).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digits_into(out: np.ndarray, x: np.ndarray) -> None:
+    """x (int64, 0 <= x < 10^8) in decimal, as two words of out's rows: x = q*10^4 + r."""
+    q, r = np.divmod(x, 10 ** 4)
+    big = q > 0
+    words = _digit_words()
+    out[:, 0] = words.take(q) * big            # q = 0: no word
+    out[:, 1] = words.take(r + big * 10 ** 4)   # after q, r keeps its zeros
+
+
+def _word(text: str) -> int:
+    """At most 4 ASCII characters, padded with NUL, as the uint32 word that holds them."""
+    return int.from_bytes(text.encode().ljust(4, b"\0"), sys.byteorder)
+
+
+_ROWS = 1 << 15         # witness rows rendered per block: 1.3 MB of words
+_NEXT, _COLON, _SLASH = _word(",\n  "), _word('": '), _word("/")
+_OPEN = np.array([_word('  "'), _word('  "-')], dtype=np.uint32)      # by sign
+
+
+def _member_order(num: np.ndarray, den: np.ndarray | None) -> np.ndarray:
+    """The order in which sort_keys writes the members "num/den": k.
+
+    A member sorts by its key, and the key's closing '"' sorts below "-",
+    "/" and the digits, so the order is that of one int64 per point: the
+    sign (minus first), then |num| by _sort_key, then den by _sort_key, or 0
+    when no "/den" is written ("1" < "1/2"; _sort_key is never 0).
+    """
+    key = (num >= 0).astype(np.int64) << 57 | _sort_key(np.abs(num)) << 29
+    if den is not None:
+        key |= _sort_key(den) * (den != 1)
+    return np.argsort(key, kind="stable")
+
+
+def _witness_block(num: np.ndarray, den: np.ndarray | None, k: np.ndarray) -> _JSON:
+    """{"num/den": k, ...} as json.dumps(sort_keys=True, indent=2) writes the
+    witnesses key of a top-level object; den None (or 1) writes the point "num".
+
+    num, den and k are int64 arrays of values below 10^7 (MAX_MODULUS < 10^7).
+    The rows are rendered in _member_order, 2^15 at a time, as ten uint32
+    words each (seven without den): _NEXT (the comma, newline and half the
+    indent), _OPEN (the rest of it, '"' and the sign), |num|, "/", den, '": ',
+    k.  The NUL padding is dropped in one pass per block.
+    """
+    if not len(num):
+        return _JSON("{}")
+    order = _member_order(num, den)
+    buf = np.empty((min(len(order), _ROWS), 7 if den is None else 10), dtype=np.uint32)
+    buf[:, 0] = _NEXT
+    buf[:, -3] = _COLON
+    blocks = []
+    for i in range(0, len(order), _ROWS):
+        at = order[i:i + _ROWS]
+        rows = buf[:len(at)]
+        x = num.take(at)
+        rows[:, 1] = _OPEN.take(x < 0)
+        _digits_into(rows[:, 2:4], np.abs(x))
+        if den is not None:
+            x = den.take(at)
+            slash = x != 1
+            rows[:, 4] = _SLASH * slash
+            _digits_into(rows[:, 5:7], x)
+            rows[:, 5:7] *= slash[:, None]
+        _digits_into(rows[:, -2:], k.take(at))
+        u = rows.view(np.uint8).ravel()
+        blocks.append(u[u != 0].tobytes().decode())
+    blocks[0] = "{" + blocks[0][1:]          # the first row opens the object: no comma
+    blocks.append("\n  }")
+    return _JSON("".join(blocks))
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -172,14 +269,14 @@ def cmd_polar_t(args) -> int:
     return 0
 
 
-def _emit_hull(args, E: ResidueSet, points, head: dict, label: str) -> None:
+def _emit_hull(args, E: ResidueSet, points, pairs, head: dict, label: str) -> None:
     """hull(E) as the input, hull, witnesses and quasi_convex keys after `head`.
 
-    points(r, n) writes the residues r mod n (an int64 array or a list),
-    in order.  The witnesses are written in bulk, as sorted '"point": k'
-    members: a point is written with "-", "/" and digits, which all sort
-    after '"', so the members sort as their keys do.  The text output,
-    "label: hull", writes no witnesses.
+    points(r, n) writes the residues r mod n (a list) as the input and hull
+    lists do; pairs(r, n) gives the same points of an int64 array as int64
+    (num, den) arrays, den None for integer points, from which
+    _witness_block writes the witnesses.  The text output, "label: hull",
+    writes no witnesses.
     """
     rep = hull(E)
     n = E.modulus
@@ -188,28 +285,34 @@ def _emit_hull(args, E: ResidueSet, points, head: dict, label: str) -> None:
             "quasi_convex": rep.is_quasi_convex()}
     if not args.text:
         W = rep.witnesses
-        keys["witnesses"] = members = _Members(
-            f'"{p}": {k}' for p, k in zip(points(W[:, 0], n), W[:, 1].tolist()))
-        members.sort()
+        keys["witnesses"] = _witness_block(*pairs(W[:, 0], n), W[:, 1])
     _emit(args, {**head, **keys},
           lambda: [f"{label}: {keys['hull']}", f"quasi-convex: {keys['quasi_convex']}"])
 
 
-def _residues(r, n: int) -> list[int]:
-    """Residues mod n, already reduced, as they are: a list, or an int64 array's tolist."""
-    return r if isinstance(r, list) else r.tolist()
+def _residues(r: list, n: int) -> list[int]:
+    """Residues mod n, already reduced, as they are."""
+    return r
+
+
+def _residue_pairs(r: np.ndarray, n: int) -> tuple[np.ndarray, None]:
+    return r, None
+
+
+def _signed_pairs(r: np.ndarray, n: int) -> tuple[np.ndarray, None]:
+    return signed_array(r, n), None
 
 
 def cmd_hull_t(args) -> int:
     E = _grid_input(args)
-    _emit_hull(args, E, render_points, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
+    _emit_hull(args, E, render_points, point_pairs, {"op": "hull-t", "kind": "grid", "modulus": E.modulus},
                "hull")
     return 0
 
 
 def cmd_hull_zn(args) -> int:
     E = ResidueSet(args.n, _parse_int_set(args.set))
-    _emit_hull(args, E, _residues, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
+    _emit_hull(args, E, _residues, _residue_pairs, {"op": "hull-zn", "kind": "cyclic", "order": args.n},
                f"hull in Z({args.n})")
     return 0
 
@@ -220,7 +323,7 @@ def cmd_hull_j3(args) -> int:
     check_power(3, args.level)
     n = 3 ** args.level
     E = ResidueSet(n, _parse_int_set(args.set))
-    _emit_hull(args, E, signed_residues, {"op": "hull-j3", "level": args.level, "order": n},
+    _emit_hull(args, E, signed_residues, _signed_pairs, {"op": "hull-j3", "level": args.level, "order": n},
                f"hull in Z(3^{args.level})")
     return 0
 

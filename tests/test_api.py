@@ -1,6 +1,7 @@
 """The public surface of the package, and rules its sources keep."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -74,4 +75,30 @@ def test_library_has_no_assert():
     # checks must survive python -O, which strips assert statements
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_has_no_floats():
+    # exact arithmetic only: no float literal, no float( or round( call and no
+    # float dtype; the one float is CriterionResult.seconds, a timing, allowed by name
+    float_dtypes = re.compile(r"float\d*|float_|floating|double|longdouble|single|half|f[248]|[<>=]f[248]")
+    allowed = {("acceptance.py", "CriterionResult", "seconds")}
+
+    def floats(path):
+        tree = _tree(path)
+        exempt = {id(node.annotation) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)
+                  and (path.name, cls.name, node.target.id) in allowed}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if ((isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+                    or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and float_dtypes.fullmatch(node.value))
+                    or (isinstance(node, ast.Name) and node.id in ("float", "round"))
+                    or (isinstance(node, ast.Attribute) and float_dtypes.fullmatch(node.attr))):
+                yield f"{path.name}:{node.lineno}"
+
+    found = [where for path in sorted(PACKAGE.glob("*.py")) for where in floats(path)]
     assert found == []

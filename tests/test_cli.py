@@ -9,14 +9,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcgroups import cli
 from qcgroups.circle import parse_rational, render_point, signed_residue
 from qcgroups.cli import main
-from qcgroups.duality import ResidueSet, hull_residues
+from qcgroups.duality import MAX_MODULUS, ResidueSet, hull_residues
 from qcgroups.errors import InvalidInputError
 from qcgroups.realline import RealFiniteSet, polar_R
 from qcgroups.witnesses import SCHEMA
@@ -419,6 +420,53 @@ def test_bulk_hull_writer_on_an_empty_witness_set(capsys):
         assert code == 0 and json.loads(out)["witnesses"] == {}
         assert out == json.dumps(_hull_payload_with_a_witness_dict(argv),
                                  sort_keys=True, indent=2) + "\n"
+
+
+# the three point forms of the witness block: (num, den) pairs from residues,
+# and the point writer the witnesses were once written with
+_FORMS = {"hull-t": (cli.point_pairs, render_point),
+          "hull-zn": (cli._residue_pairs, lambda r, n: r % n),
+          "hull-j3": (cli._signed_pairs, signed_residue)}
+
+
+def _members_by_sorting(points, ks):
+    """The witness block as the old writer wrote it: one f-string per point, sorted()."""
+    members = sorted(f'"{p}": {k}' for p, k in zip(points, ks))
+    return "{\n    " + ",\n    ".join(members) + "\n  }" if members else "{}"
+
+
+@pytest.mark.parametrize("n", [3 ** 13, 1441440], ids=["3^13", "2^5*3^2*5*7*11*13"])
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_witness_block_matches_sorted_members_past_a_block(form, n):
+    # 2 blocks of rows and 3 more; points and characters of 1 to 7 digits
+    pairs, point = _FORMS[form]
+    rng = np.random.default_rng(n)
+    specials = [0, 1, 2, n - 1, n - 2, n // 2, (n + 1) // 2]
+    specials += [n // d * j % n for d in (2, 3, 4, 5, 8, 9, 27, 32, 81) if n % d == 0 for j in (1, -1)]
+    rest = np.setdiff1d(rng.permutation(n)[:2 * cli._ROWS + 3], specials)
+    r = np.concatenate([np.unique(specials), rest])[:2 * cli._ROWS + 3]
+    k = rng.integers(1, n, len(r))
+    k[:9] = [1, 9, 10, 9999, 10 ** 4, 10 ** 4 + 1, 10 ** 5, 10 ** 6, 10 ** 7 - 1]
+    want = _members_by_sorting([point(x, n) for x in r.tolist()], k.tolist())
+    assert cli._witness_block(*pairs(r, n), k) == want
+
+
+@given(st.integers(1, 3 ** 13), st.lists(st.integers(-(3 ** 13), 3 ** 13), max_size=40))
+@settings(max_examples=200, deadline=None)
+@example(32, [16, 8, 13, -2, -8])            # 1/2 < 1/4 < 13/32 and -1/16 < -1/4
+@example(3 ** 13, [1, 10, 100, 2, -1, -10, -2, 999999, 10 ** 6, 0])
+def test_member_order_is_the_order_of_the_rendered_keys(n, xs):
+    for pairs, point in _FORMS.values():
+        keys = [f'"{point(x, n)}"' for x in xs]
+        order = cli._member_order(*pairs(np.array(xs, dtype=np.int64) % n, n))
+        assert [keys[i] for i in order] == sorted(keys)
+
+
+def test_every_point_and_character_fits_the_member_key():
+    # _member_order packs |num| and den as 7-digit numbers of 28 bits each;
+    # a bound of 10^7 or more must fail here, not overflow the key
+    assert MAX_MODULUS < 10 ** 7
+    assert cli._sort_key(np.array([10 ** 7 - 1]))[0] < 1 << 28
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):

@@ -115,11 +115,12 @@ def _digit_words() -> np.ndarray:
     """uint32 words of 4 ASCII bytes: entry x < 10^4 holds x right-aligned after
     NUL bytes (42 as NUL NUL "42", 0 as NUL NUL NUL "0"), entry 10^4 + x holds
     x padded with zeros ("0042")."""
-    d = (np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
-    lead = d.cumsum(axis=1) == 0
+    x = np.arange(10 ** 4, dtype=np.int16)[:, None]
+    d = (x // np.array([1000, 100, 10, 1], dtype=np.int16) % 10).astype(np.uint8)
+    lead = np.logical_and.accumulate(d == 0, axis=1)
     lead[:, 3] = False
     digits = d + ord("0")
-    return np.concatenate([np.where(lead, 0, digits), digits]).astype(np.uint8).view(np.uint32).ravel()
+    return np.concatenate([np.where(lead, 0, digits), digits]).view(np.uint32).ravel()
 
 
 def _digits_into(out: np.ndarray, x: np.ndarray) -> None:
@@ -179,10 +180,10 @@ def _witness_block(num: np.ndarray, den: np.ndarray | None, k: np.ndarray) -> _J
         rows[:, 1] = _OPEN.take(x < 0)
         _digits_into(rows[:, 2:4], np.abs(x))
         if den is not None:
-            x = den.take(at)
-            slash = x != 1
+            d = den.take(at)
+            slash = d != 1
             rows[:, 4] = _SLASH * slash
-            _digits_into(rows[:, 5:7], x)
+            _digits_into(rows[:, 5:7], d)
             rows[:, 5:7] *= slash[:, None]
         _digits_into(rows[:, -2:], k.take(at))
         u = rows.view(np.uint8).ravel()

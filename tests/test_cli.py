@@ -423,14 +423,14 @@ def test_bulk_hull_writer_on_an_empty_witness_set(capsys):
 
 
 # the three point forms of the witness block: (num, den) pairs from residues,
-# and the point writer the witnesses were once written with
+# and the scalar point writer each is checked against
 _FORMS = {"hull-t": (cli.point_pairs, render_point),
           "hull-zn": (cli._residue_pairs, lambda r, n: r % n),
           "hull-j3": (cli._signed_pairs, signed_residue)}
 
 
 def _members_by_sorting(points, ks):
-    """The witness block as the old writer wrote it: one f-string per point, sorted()."""
+    """The witness block written the plain way: one f-string per point, sorted()."""
     members = sorted(f'"{p}": {k}' for p, k in zip(points, ks))
     return "{\n    " + ",\n    ".join(members) + "\n  }" if members else "{}"
 
